@@ -41,9 +41,9 @@ using Callback = std::function<void()>;
 struct CacheStats
 {
     Counter loadHits;
-    Counter loadMisses;
+    Counter loadMisses; ///< Once per miss, however often it retries.
     Counter stores;
-    Counter ntStores;
+    Counter ntStores;   ///< Accepted non-temporal stores only.
     Counter flushes;
     Counter flushWritebacks;
     Counter invalidations;
@@ -109,6 +109,12 @@ class CpuCacheModel
 
     static Addr lineOf(Addr addr) { return addr & ~Addr{63}; }
     void maybeEvictOne();
+    /** Issue a counted miss's line read; re-parks until accepted. */
+    void fetch(Addr line_addr, std::uint8_t* buf,
+               std::shared_ptr<Callback> cb);
+    /** Write a dirty line back; re-parks until the WPQ accepts it. */
+    void writeBack(Addr line_addr,
+                   const std::array<std::uint8_t, 64>& data);
 
     EventQueue& eq_;
     /** Owned identity port for the single-iMC constructor. */

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstring>
+#include <deque>
 #include <vector>
 
 #include "bus/memory_bus.hh"
@@ -177,6 +178,57 @@ TEST_F(CpuFixture, LoadsSurviveReadQueueRejection)
     }
     eq.runFor(2 * kMs);
     EXPECT_EQ(done, n);
+}
+
+TEST_F(CpuFixture, DeferredWritebackSurvivesLostRace)
+{
+    // Regression: a clflush writeback that finds the WPQ full parks a
+    // retry. When the freed slot goes to a waiter parked ahead of it,
+    // the retry is rejected again and must re-park; it once ignored
+    // the rejection and the dirty line never reached DRAM.
+    imc::ImcConfig small;
+    small.wpqCap = 2;
+    small.wpqWatermark = 2;
+    // A channel of its own, so the fixture's iMC never shares the bus.
+    dram::DramDevice tiny_dev(map, dram::Ddr4Timing::ddr4_1600(), true,
+                              false);
+    bus::MemoryBus tiny_bus(eq, tiny_dev, false);
+    imc::Imc tiny_imc(eq, tiny_bus, small);
+    CpuCacheModel tiny_cache(eq, tiny_imc, cacheParams());
+
+    std::array<std::uint8_t, 64> fill{};
+    fill.fill(0x11);
+    ASSERT_TRUE(tiny_cache.storeNt(0x10000, fill.data(), nullptr));
+    ASSERT_TRUE(tiny_cache.storeNt(0x10040, fill.data(), nullptr));
+
+    // Waiters ahead of the writeback: more NT copies than the WPQ has
+    // slots, so the first drain's freed slots all go to them.
+    std::vector<std::uint8_t> src(128, 0x22);
+    std::deque<MemcpyEngine> engines;
+    for (int i = 0; i < 3; ++i)
+        engines.emplace_back(eq, tiny_imc, &tiny_cache);
+    int copied = 0;
+    for (std::size_t i = 0; i < engines.size(); ++i)
+        engines[i].writeNt(0x40000 + i * 0x1000, 128, src.data(),
+                           [&] { ++copied; });
+
+    // Second waiter: the dirty line's writeback.
+    std::array<std::uint8_t, 64> w{};
+    w.fill(0x5c);
+    tiny_cache.store(0x20000, w.data(), nullptr);
+    bool flushed = false;
+    tiny_cache.clflush(0x20000, [&] { flushed = true; });
+
+    eq.runFor(50 * kUs);
+    ASSERT_EQ(copied, 3);
+    ASSERT_TRUE(flushed);
+    EXPECT_EQ(tiny_imc.wpqDepth(), 0u);
+    std::array<std::uint8_t, 64> r{};
+    tiny_dev.readBurst(map.decompose(0x20000), r.data());
+    EXPECT_EQ(r[0], 0x5c) << "the deferred writeback was lost";
+    // 2 fills + 6 copy lines + 1 writeback; each store counted once.
+    EXPECT_EQ(tiny_imc.stats().writesAccepted.value(), 9u);
+    EXPECT_EQ(tiny_cache.stats().ntStores.value(), 8u);
 }
 
 TEST_F(CpuFixture, CapacityEvictionWritesDirtyVictims)
