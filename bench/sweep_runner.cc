@@ -29,12 +29,24 @@
  * executor counts, plus the fig8/fig11/mixedload head-to-head whose
  * JSON export is committed as BENCH_backends.json.
  *
+ * The "users" sweep measures the simulator's own cost under the
+ * multi-user load (detailed-memcpy mixedload, 50..4000 users): host
+ * wall time per transaction must stay flat and parked-retry wakeups
+ * per accepted line near 1. Its export is committed as
+ * BENCH_scaling.json; --max-users N drops the larger points.
+ *
+ * Every JSON export records the host name, the core count and the
+ * commit given by --commit.
+ *
  * Usage:
  *   sweep_runner [--sweep ablation|variants|cache_policy|channels
  *                        |parallel|latency|telemetry|faults|backends
- *                        |all]
- *                [--jobs N] [--json FILE] [--verify] [--list]
+ *                        |users|all]
+ *                [--jobs N] [--json FILE] [--commit SHA]
+ *                [--max-users N] [--verify] [--list]
  */
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -1209,13 +1221,22 @@ runBackendTpchPoint(backend::BackendKind kind, int qid)
     return out;
 }
 
+/** One validating mixedload run and what it cost the host port. */
+struct MixedloadRun
+{
+    workload::MixedLoadResult res;
+    /** Parked-retry wakeups per line op the iMCs accepted. */
+    double wakeupsPerLine = 0.0;
+    bool hardwareClean = true;
+};
+
 /**
- * One mixedload head-to-head point: validating transactions with real
- * bytes end to end; failures must stay 0 on every backend (the
- * durable-on-ack contract is part of the seam).
+ * @p users validating users with real bytes end to end (detailed
+ * memcpy) on the @p kind backend; 4 transactions per user over 32
+ * record slots per user.
  */
-PointResult
-runBackendMixedloadPoint(backend::BackendKind kind)
+MixedloadRun
+runMixedload(backend::BackendKind kind, unsigned users)
 {
     BenchDevice sys;
     if (kind == backend::BackendKind::Pmem)
@@ -1250,26 +1271,57 @@ runBackendMixedloadPoint(backend::BackendKind kind)
     };
 
     workload::MixedLoadConfig mc;
-    mc.users = 125;
+    mc.users = users;
     mc.transactionsPerUser = 4;
     mc.recordBytes = 4096;
     mc.regionBytes = std::uint64_t{mc.users} * 32 * 4096;
-    workload::MixedLoadResult res =
-        workload::runMixedLoad(sys.eq(), dev, mc);
 
+    MixedloadRun run;
+    run.res = workload::runMixedLoad(sys.eq(), dev, mc);
+    const imc::HostPort& port =
+        sys.nvdc ? sys.nvdc->hostPort() : sys.pmem->hostPort();
+    std::uint64_t lines = 0;
+    for (std::uint32_t ch = 0; ch < port.channels(); ++ch)
+        lines += port.imc(ch).stats().readsAccepted.value() +
+                 port.imc(ch).stats().writesAccepted.value();
+    run.wakeupsPerLine = lines == 0
+                             ? 0.0
+                             : static_cast<double>(port.spaceWakeups()) /
+                                   static_cast<double>(lines);
+    run.hardwareClean = sys.hardwareClean();
+    return run;
+}
+
+/** The validation verdict of @p run as a point error ("" = clean). */
+std::string
+mixedloadError(const MixedloadRun& run, backend::BackendKind kind)
+{
+    if (run.res.validationFailures != 0)
+        return "mixedload validation failures on " +
+               std::string(backend::toString(kind));
+    if (!run.hardwareClean)
+        return "bus conflict detected";
+    return {};
+}
+
+/**
+ * One mixedload head-to-head point: 125 validating users; failures
+ * must stay 0 on every backend (the durable-on-ack contract is part
+ * of the seam).
+ */
+PointResult
+runBackendMixedloadPoint(backend::BackendKind kind)
+{
+    MixedloadRun run = runMixedload(kind, 125);
     PointResult out;
     out.metrics = {
-        {"transactions", static_cast<double>(res.transactions)},
+        {"transactions", static_cast<double>(run.res.transactions)},
         {"validation_failures",
-         static_cast<double>(res.validationFailures)},
-        {"txn_per_sec", static_cast<double>(res.transactions) /
-                            ticksToSec(res.elapsed)},
+         static_cast<double>(run.res.validationFailures)},
+        {"txn_per_sec", static_cast<double>(run.res.transactions) /
+                            ticksToSec(run.res.elapsed)},
     };
-    if (res.validationFailures != 0)
-        out.error = "mixedload validation failures on " +
-                    std::string(backend::toString(kind));
-    else if (!sys.hardwareClean())
-        out.error = "bus conflict detected";
+    out.error = mixedloadError(run, kind);
     return out;
 }
 
@@ -1315,6 +1367,50 @@ makeBackendsSweep()
         p.push_back({tag + "/mixedload/125users", [kind] {
             return runBackendMixedloadPoint(kind);
         }});
+    }
+    return sweep;
+}
+
+/**
+ * One point of the users sweep: the simulator's own cost of the
+ * multi-user load. wakeups_per_line is deterministic (a parked retry
+ * fires only when its queue has room, so it stays near 1 at any user
+ * count); the point's wall_ms is the host-time scaling evidence.
+ */
+PointResult
+runUsersPoint(backend::BackendKind kind, unsigned users)
+{
+    MixedloadRun run = runMixedload(kind, users);
+    PointResult out;
+    out.metrics = {
+        {"transactions", static_cast<double>(run.res.transactions)},
+        {"validation_failures",
+         static_cast<double>(run.res.validationFailures)},
+        {"wakeups_per_line", run.wakeupsPerLine},
+    };
+    out.error = mixedloadError(run, kind);
+    return out;
+}
+
+/**
+ * The users sweep (committed as BENCH_scaling.json): detailed-memcpy
+ * mixedload on one channel at 50..4000 users, nvdimmc and pmem.
+ * Points above @p max_users are left out (CI stops at 500).
+ */
+Sweep
+makeUsersSweep(unsigned max_users)
+{
+    Sweep sweep{"users", {}};
+    for (auto kind :
+         {backend::BackendKind::Nvdimmc, backend::BackendKind::Pmem}) {
+        for (unsigned users : {50u, 250u, 1000u, 4000u}) {
+            if (users > max_users)
+                continue;
+            sweep.points.push_back(
+                {std::string(backend::toString(kind)) + "/" +
+                     std::to_string(users) + "users",
+                 [kind, users] { return runUsersPoint(kind, users); }});
+        }
     }
     return sweep;
 }
@@ -1384,12 +1480,15 @@ void
 writeJson(std::ostream& os,
           const std::vector<std::pair<const Sweep*,
                                       std::vector<PointResult>>>& all,
-          unsigned jobs)
+          unsigned jobs, const std::string& commit)
 {
+    char host[256] = "unknown";
+    gethostname(host, sizeof(host) - 1);
     os.precision(17);
     os << "{\n  \"schema_version\": " << telemetry::kSchemaVersion
-       << ",\n  \"jobs\": " << jobs << ",\n  \"host_cores\": "
-       << std::thread::hardware_concurrency()
+       << ",\n  \"host\": \"" << host << "\",\n  \"commit\": \""
+       << commit << "\",\n  \"jobs\": " << jobs
+       << ",\n  \"host_cores\": " << std::thread::hardware_concurrency()
        << ",\n  \"sweeps\": [\n";
     for (std::size_t s = 0; s < all.size(); ++s) {
         const auto& [sweep, results] = all[s];
@@ -1426,6 +1525,8 @@ sweepMain(int argc, char** argv)
     std::vector<std::string> wanted;
     unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
     std::string json_path;
+    std::string commit = "unknown";
+    unsigned max_users = ~0u;
     bool verify = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -1445,13 +1546,17 @@ sweepMain(int argc, char** argv)
             json_path = value();
         } else if (arg == "--verify") {
             verify = true;
+        } else if (arg == "--max-users") {
+            max_users = static_cast<unsigned>(std::stoul(value()));
+        } else if (arg == "--commit") {
+            commit = value();
         } else if (arg == "--list") {
             for (const Sweep& sweep :
                  {makeAblationSweep(), makeVariantsSweep(),
                   makeCachePolicySweep(), makeChannelsSweep(),
                   makeParallelSweep(), makeLatencySweep(),
                   makeTelemetrySweep(), makeFaultsSweep(),
-                  makeBackendsSweep()}) {
+                  makeBackendsSweep(), makeUsersSweep(max_users)}) {
                 for (const auto& point : sweep.points)
                     std::cout << sweep.name << "/" << point.name
                               << "\n";
@@ -1461,9 +1566,11 @@ sweepMain(int argc, char** argv)
             std::cout
                 << "usage: sweep_runner"
                    " [--sweep ablation|variants|cache_policy|channels"
-                   "|parallel|latency|telemetry|faults|backends|all]\n"
+                   "|parallel|latency|telemetry|faults|backends|users"
+                   "|all]\n"
                    "                    [--jobs N] [--json FILE]"
-                   " [--verify] [--list]\n";
+                   " [--commit SHA] [--max-users N]\n"
+                   "                    [--verify] [--list]\n";
             return 0;
         } else {
             fatal("unknown argument ", arg);
@@ -1497,6 +1604,8 @@ sweepMain(int argc, char** argv)
         sweeps.push_back(makeFaultsSweep());
     if (want("backends"))
         sweeps.push_back(makeBackendsSweep());
+    if (want("users"))
+        sweeps.push_back(makeUsersSweep(max_users));
     if (sweeps.empty())
         fatal("no sweep matches ", wanted.front());
 
@@ -1550,7 +1659,7 @@ sweepMain(int argc, char** argv)
         std::ofstream out(json_path);
         if (!out)
             fatal("cannot write ", json_path);
-        writeJson(out, all, jobs);
+        writeJson(out, all, jobs, commit);
         std::cout << "wrote " << json_path << "\n";
     }
     return rc;

@@ -29,11 +29,15 @@ diffing incompatible shapes.
 
 Usage:
     check_bench_regression.py FRESH.json BASELINE.json [--tolerance F]
+                              [--partial]
 
 Tolerance applies to the wall-clock comparisons only (default 0.5:
-warn when throughput halves / wall time doubles). Exit codes: 0 ok or
-warnings only, 1 stable-metric regression or missing point, 2 schema
-mismatch or unreadable input.
+warn when throughput halves / wall time doubles). --partial compares a
+fresh run that covers only some of the baseline's points (e.g. the
+users sweep cut at --max-users): baseline points absent from the fresh
+run are skipped instead of failing, but at least one must match. Exit
+codes: 0 ok or warnings only, 1 stable-metric regression or missing
+point, 2 schema mismatch or unreadable input.
 """
 
 import argparse
@@ -66,6 +70,7 @@ STABLE_METRICS = frozenset({
     "intervals",
     "transactions",
     "committed",
+    "wakeups_per_line",
 })
 
 # Point keys that are not metrics.
@@ -143,18 +148,23 @@ def point_metrics(point):
     return {k: v for k, v in point.items() if k not in NON_METRIC_KEYS}
 
 
-def compare_sweeps(fresh_doc, base_doc, tolerance):
+def compare_sweeps(fresh_doc, base_doc, tolerance, partial=False):
     fresh = sweep_points(fresh_doc)
     base = sweep_points(base_doc)
     failed = False
+    compared = 0
 
     for name, bpoint in sorted(base.items()):
         fpoint = fresh.get(name)
         if fpoint is None:
+            if partial:
+                print(f"skip {name}: not in this partial run")
+                continue
             print(f"FAIL {name}: present in baseline but missing "
                   f"from fresh run")
             failed = True
             continue
+        compared += 1
         if fpoint.get("error"):
             print(f"FAIL {name}: fresh run errored: "
                   f"{fpoint['error']}")
@@ -189,6 +199,9 @@ def compare_sweeps(fresh_doc, base_doc, tolerance):
     for name in sorted(set(fresh) - set(base)):
         print(f"new  {name} (no baseline yet)")
 
+    if compared == 0:
+        print("FAIL no fresh point matches the baseline")
+        failed = True
     if failed:
         print("stable-metric regression detected")
         return 1
@@ -204,6 +217,9 @@ def main():
                     help="wall-clock warn threshold (fraction of "
                          "baseline throughput / inverse wall-time "
                          "factor)")
+    ap.add_argument("--partial", action="store_true",
+                    help="fresh sweep covers a subset of the baseline's "
+                         "points; skip the absent ones")
     args = ap.parse_args()
 
     try:
@@ -233,7 +249,7 @@ def main():
         return 2
 
     if fresh_is_sweep:
-        return compare_sweeps(fresh, base, args.tolerance)
+        return compare_sweeps(fresh, base, args.tolerance, args.partial)
     return compare_benchmarks(fresh, base, args.tolerance)
 
 

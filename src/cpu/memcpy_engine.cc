@@ -100,7 +100,8 @@ MemcpyEngine::pumpRead(const std::shared_ptr<Transfer>& t)
                 t->inFlight -= 1;
                 t->issued -= 64;
                 t->stalled = true;
-                port_.whenSpace(line, [this, t] { pumpRead(t); });
+                port_.whenSpace(line, imc::QueueKind::Read,
+                                [this, t] { pumpRead(t); });
                 return;
             }
         }
@@ -124,7 +125,8 @@ MemcpyEngine::pumpWrite(const std::shared_ptr<Transfer>& t)
                            : port_.writeLine(line, src, nullptr);
     if (!accepted) {
         // WPQ full: resume once the drain frees an entry.
-        port_.whenSpace(line, [this, t] { pumpWrite(t); });
+        port_.whenSpace(line, imc::QueueKind::Write,
+                        [this, t] { pumpWrite(t); });
         return;
     }
     t->issued += 64;

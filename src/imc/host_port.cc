@@ -137,7 +137,8 @@ HostPort::pump(std::uint32_t ch)
                                       wrapDone(ch, op.done));
         if (!accepted) {
             st.waiting = true;
-            imcs_[ch]->whenSpace([this, ch] {
+            QueueKind q = op.isWrite ? QueueKind::Write : QueueKind::Read;
+            imcs_[ch]->whenSpace(q, [this, ch] {
                 shardStates_[ch].waiting = false;
                 pump(ch);
             });
@@ -157,14 +158,7 @@ HostPort::returnCredit(std::uint32_t ch)
 {
     auto& st = shardStates_[ch];
     ++st.credits;
-    if (st.spaceWaiters.empty())
-        return;
-    // Swap-and-fire-all, mirroring Imc::notifySpace: a woken waiter
-    // that loses the race for the credit re-parks itself.
-    std::vector<Callback> waiters;
-    waiters.swap(st.spaceWaiters);
-    for (auto& w : waiters)
-        w();
+    st.spaceWaiters.wake([&st](QueueKind) { return st.credits > 0; });
 }
 
 bool
@@ -218,15 +212,25 @@ HostPort::writeLine(Addr flat, const std::uint8_t* data, Callback done)
 }
 
 void
-HostPort::whenSpace(Addr flat, Callback cb)
+HostPort::whenSpace(Addr flat, QueueKind q, Callback cb)
 {
     if (coord_) {
-        // Park host-side; a returning link credit wakes the waiters.
-        shardStates_[channelOf(flat)].spaceWaiters.push_back(
-            std::move(cb));
+        // Park host-side; returning link credits wake waiters FIFO.
+        shardStates_[channelOf(flat)].spaceWaiters.park(q, std::move(cb));
         return;
     }
-    imcs_[channelOf(flat)]->whenSpace(std::move(cb));
+    imcs_[channelOf(flat)]->whenSpace(q, std::move(cb));
+}
+
+std::uint64_t
+HostPort::spaceWakeups() const
+{
+    std::uint64_t n = 0;
+    for (const auto& st : shardStates_)
+        n += st.spaceWaiters.fired();
+    for (const Imc* m : imcs_)
+        n += m->spaceWakeups();
+    return n;
 }
 
 void

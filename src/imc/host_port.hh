@@ -22,7 +22,9 @@
  * RPQ/WPQ eventually rejects host calls just like the classic path —
  * delayed by one round trip, which is exactly what a real posted
  * buffer of linkDepth entries would do. whenSpace() then parks the
- * waiter host-side and fires it when a credit comes back.
+ * waiter host-side; returning credits wake the parked waiters in
+ * arrival order while credits remain (SpaceWaiters' FIFO discipline,
+ * the same one the iMC applies to its queues).
  */
 
 #ifndef NVDIMMC_IMC_HOST_PORT_HH
@@ -81,9 +83,16 @@ class HostPort
      *  @return false if that channel's WPQ is full. */
     bool writeLine(Addr flat, const std::uint8_t* data, Callback done);
 
-    /** One-shot "space freed" callback on the channel owning @p flat
-     *  (the channel that just rejected the caller's line). */
-    void whenSpace(Addr flat, Callback cb);
+    /** Park a one-shot retry on the channel owning @p flat (the one
+     *  that just rejected the caller's line) until queue @p q has
+     *  room; in sharded mode, until a link credit returns (reads and
+     *  writes share the credit pool). */
+    void whenSpace(Addr flat, QueueKind q, Callback cb);
+
+    /** Parked retries fired so far at every wake site behind this
+     *  port: its link-credit waiters plus each iMC's queue waiters.
+     *  A cost counter; read it after the run. */
+    std::uint64_t spaceWakeups() const;
 
     /**
      * Analytic bulk transfer of [flat, flat+bytes): byte counts are
@@ -180,7 +189,7 @@ class HostPort
         /** @name Host-side. */
         /** @{ */
         std::uint32_t credits = 0;
-        std::vector<Callback> spaceWaiters;
+        SpaceWaiters spaceWaiters;
         /** Host-bound messages this channel owes (credits +
          *  completions), counted when their trigger op posts; promise
          *  input. */

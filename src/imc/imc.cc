@@ -156,12 +156,10 @@ Imc::writeLine(Addr addr, const std::uint8_t* data, Callback done)
 void
 Imc::notifySpace()
 {
-    if (spaceWaiters_.empty())
-        return;
-    std::vector<Callback> waiters;
-    waiters.swap(spaceWaiters_);
-    for (auto& cb : waiters)
-        cb();
+    spaceWaiters_.wake([this](QueueKind q) {
+        return q == QueueKind::Read ? readQ_.size() < cfg_.readQueueCap
+                                    : !wpq_.full();
+    });
 }
 
 void

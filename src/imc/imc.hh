@@ -20,13 +20,13 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "imc/request.hh"
 #include "imc/scheduler.hh"
+#include "imc/space_waiters.hh"
 #include "imc/wpq.hh"
 
 namespace nvdimmc::imc
@@ -110,19 +110,30 @@ class Imc
 
     /**
      * Enqueue a 64 B line read. @p buf (nullable) receives the data.
-     * @return false if the read queue is full (use whenSpace()).
+     * @return false if the read queue is full (use whenSpace(Read)).
      */
     bool readLine(Addr addr, std::uint8_t* buf, Callback done);
 
     /**
      * Post a 64 B line write; @p done fires immediately on acceptance
      * (posted semantics) and the WPQ drains in the background.
-     * @return false if the WPQ is full.
+     * @return false if the WPQ is full (use whenSpace(Write)).
      */
     bool writeLine(Addr addr, const std::uint8_t* data, Callback done);
 
-    /** Register a one-shot callback for "some queue space freed". */
-    void whenSpace(Callback cb) { spaceWaiters_.push_back(std::move(cb)); }
+    /**
+     * Park a one-shot retry until queue @p q (the one that just
+     * rejected the caller) has room. Waiters fire in arrival order,
+     * FIFO-until-full (see SpaceWaiters).
+     */
+    void whenSpace(QueueKind q, Callback cb)
+    {
+        spaceWaiters_.park(q, std::move(cb));
+    }
+
+    /** Parked retries fired so far; a cost counter, not a stat (the
+     *  dump stays independent of how retries are woken). */
+    std::uint64_t spaceWakeups() const { return spaceWaiters_.fired(); }
 
     /**
      * Analytic bulk transfer (see ImcConfig bulk parameters): the
@@ -214,7 +225,7 @@ class Imc
     TimingShadow shadow_;
     std::deque<MemRequest> readQ_;
     WritePendingQueue wpq_;
-    std::vector<Callback> spaceWaiters_;
+    SpaceWaiters spaceWaiters_;
 
     /**
      * Writes popped from the WPQ at CAS time whose data burst has not

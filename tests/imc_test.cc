@@ -1,19 +1,25 @@
 /**
  * @file
  * Host iMC tests: scheduling, data integrity, WPQ semantics, refresh
- * generation with programmable registers, and the bulk model.
+ * generation with programmable registers, the bulk model, and the
+ * FIFO space waiters of the iMC queues and the sharded host link.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
+#include "core/system.hh"
+#include "imc/host_port.hh"
 #include "imc/imc.hh"
 #include "imc/scheduler.hh"
+#include "imc/space_waiters.hh"
 
 namespace nvdimmc::imc
 {
@@ -182,9 +188,152 @@ TEST_F(ImcFixture, QueueBackpressure)
     }
     EXPECT_LE(accepted, 5); // Cap + possibly one issued immediately.
     bool space_seen = false;
-    m.whenSpace([&] { space_seen = true; });
+    m.whenSpace(QueueKind::Read, [&] { space_seen = true; });
     eq.runFor(2 * kUs);
     EXPECT_TRUE(space_seen);
+}
+
+/**
+ * The retrying caller pattern (MemcpyEngine, cache writebacks): write
+ * @p lines lines, parking on the WPQ whenever it rejects one, and log
+ * @p id per accepted line.
+ */
+void
+writeUntilAccepted(Imc& m, std::vector<int>& log, int id, int lines)
+{
+    while (lines > 0) {
+        Addr line = 0x100000 + static_cast<Addr>(id) * 0x1000 +
+                    static_cast<Addr>(lines) * 64;
+        if (!m.writeLine(line, nullptr, nullptr)) {
+            m.whenSpace(QueueKind::Write, [&m, &log, id, lines] {
+                writeUntilAccepted(m, log, id, lines);
+            });
+            return;
+        }
+        log.push_back(id);
+        --lines;
+    }
+}
+
+TEST_F(ImcFixture, SpaceWaitersFireInArrivalOrder)
+{
+    ImcConfig cfg;
+    cfg.wpqCap = 2;
+    cfg.wpqWatermark = 2;
+    Imc& m = makeImc(cfg);
+    ASSERT_TRUE(m.writeLine(0x0, nullptr, nullptr));
+    ASSERT_TRUE(m.writeLine(0x40, nullptr, nullptr));
+    std::vector<int> order;
+    for (int id = 0; id < 6; ++id)
+        writeUntilAccepted(m, order, id, 1);
+    EXPECT_TRUE(order.empty()) << "the WPQ was full; all must park";
+    eq.runFor(10 * kUs);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    // A waiter fires only when its queue has room, so each parked
+    // writer costs exactly one wakeup (waking all of them on every
+    // freed slot cost 6 + 5 + ... retries).
+    EXPECT_EQ(m.spaceWakeups(), 6u);
+}
+
+TEST_F(ImcFixture, ReparkedWaiterKeepsItsPlace)
+{
+    ImcConfig cfg;
+    cfg.wpqCap = 2;
+    cfg.wpqWatermark = 2;
+    Imc& m = makeImc(cfg);
+    ASSERT_TRUE(m.writeLine(0x0, nullptr, nullptr));
+    ASSERT_TRUE(m.writeLine(0x40, nullptr, nullptr));
+    std::vector<int> order;
+    // Writer 0 needs more lines than one drain frees: it is rejected
+    // from inside its own wakeup and must stay ahead of writers 1, 2.
+    writeUntilAccepted(m, order, 0, 3);
+    writeUntilAccepted(m, order, 1, 1);
+    writeUntilAccepted(m, order, 2, 1);
+    eq.runFor(10 * kUs);
+    EXPECT_EQ(order, (std::vector<int>{0, 0, 0, 1, 2}));
+}
+
+TEST(SpaceWaitersTest, ReadersAndWritersWaitOnSeparateQueues)
+{
+    SpaceWaiters w;
+    std::vector<std::string> fired;
+    auto park = [&](QueueKind q, std::string tag) {
+        w.park(q, [&fired, tag] { fired.push_back(tag); });
+    };
+    park(QueueKind::Read, "r0");
+    park(QueueKind::Write, "w1");
+    park(QueueKind::Read, "r2");
+    park(QueueKind::Write, "w3");
+    // RPQ full, WPQ has room: the writers go, the readers keep waiting
+    // without holding them back.
+    w.wake([](QueueKind q) { return q == QueueKind::Write; });
+    EXPECT_EQ(fired, (std::vector<std::string>{"w1", "w3"}));
+
+    park(QueueKind::Write, "w4");
+    park(QueueKind::Read, "r5");
+    fired.clear();
+    // Both have room: one arrival order across the two FIFOs.
+    w.wake([](QueueKind) { return true; });
+    EXPECT_EQ(fired, (std::vector<std::string>{"r0", "r2", "w4", "r5"}));
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.fired(), 6u);
+}
+
+TEST(SpaceWaitersTest, ReparkBlocksItsQueueForTheWakeup)
+{
+    SpaceWaiters w;
+    std::vector<std::string> fired;
+    std::function<void()> stubborn = [&] {
+        fired.push_back("a");
+        w.park(QueueKind::Write, stubborn); // Rejected again.
+    };
+    w.park(QueueKind::Write, stubborn);
+    w.park(QueueKind::Write, [&] { fired.push_back("b"); });
+    w.park(QueueKind::Read, [&] { fired.push_back("r"); });
+    // The re-park ends this wakeup's writers (their queue refilled)
+    // but not the readers, and terminates even though the room check
+    // keeps saying yes.
+    w.wake([](QueueKind) { return true; });
+    EXPECT_EQ(fired, (std::vector<std::string>{"a", "r"}));
+    // The re-parked waiter kept the front of its FIFO.
+    fired.clear();
+    w.wake([](QueueKind) { return true; });
+    EXPECT_EQ(fired, (std::vector<std::string>{"a"}));
+}
+
+TEST(HostPortShardedTest, CreditWaitersFireInArrivalOrder)
+{
+    core::BaselineConfig cfg;
+    cfg.capacityBytes = 64 * kMiB;
+    cfg.threads = 1; // Sharded: host link credits gate line ops.
+    cfg.hostLinkDepth = 4;
+    core::BaselineSystem sys(cfg);
+    HostPort& port = sys.hostPort();
+
+    // Reads and writes share the credit pool, so op 6 (a read) waits
+    // in the same arrival order as the writes around it.
+    std::vector<int> order;
+    std::function<void(int)> issue = [&](int id) {
+        const bool is_read = id == 6;
+        const Addr line = 0x100000 + static_cast<Addr>(id) * 64;
+        bool ok = is_read ? port.readLine(line, nullptr, nullptr)
+                          : port.writeLine(line, nullptr, nullptr);
+        if (!ok) {
+            port.whenSpace(line,
+                           is_read ? QueueKind::Read : QueueKind::Write,
+                           [&issue, id] { issue(id); });
+            return;
+        }
+        order.push_back(id);
+    };
+    for (int id = 0; id < 8; ++id)
+        issue(id);
+    EXPECT_EQ(order.size(), 4u) << "link depth 4: four ops park";
+    sys.run(20 * kUs);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    // One wakeup per returned credit that had a parked op to take it.
+    EXPECT_EQ(port.spaceWakeups(), 4u);
+    EXPECT_EQ(port.linkCreditsInUse(), 0u);
 }
 
 TEST_F(ImcFixture, WpqDrainsToArray)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -442,6 +443,72 @@ TEST(Integration, MixedLoadValidatesWithoutCorruption)
     // heap round-trip per event. If this fires, shrink the offending
     // lambda's captures (see sboOverflows() in event_queue.hh).
     EXPECT_EQ(sys->eq().sboOverflows(), 0u);
+}
+
+/** Parked-retry wakeups per line op @p port's iMCs accepted. */
+double
+wakeupsPerLine(const imc::HostPort& port)
+{
+    std::uint64_t lines = 0;
+    for (std::uint32_t ch = 0; ch < port.channels(); ++ch)
+        lines += port.imc(ch).stats().readsAccepted.value() +
+                 port.imc(ch).stats().writesAccepted.value();
+    return static_cast<double>(port.spaceWakeups()) /
+           static_cast<double>(std::max<std::uint64_t>(lines, 1));
+}
+
+workload::MixedLoadConfig
+manyUsers(unsigned users)
+{
+    workload::MixedLoadConfig cfg;
+    cfg.users = users;
+    cfg.transactionsPerUser = 2;
+    cfg.recordBytes = 4096;
+    cfg.regionBytes = std::uint64_t{users} * 32 * 4096;
+    return cfg;
+}
+
+TEST(Integration, MixedLoadRetryCostStaysFlatInUsers)
+{
+    // Many users contend for one channel's WPQ with detailed memcpy.
+    // Waking every parked transfer on each freed slot made the retry
+    // count per accepted line grow with the user count (~49 on
+    // nvdimmc and ~245 on pmem at 250 users). A FIFO wakeup keeps it
+    // below one at any count.
+    for (unsigned users : {64u, 256u}) {
+        SCOPED_TRACE(users);
+        SystemConfig scfg = SystemConfig::scaledBench();
+        scfg.memcpy.bulkMode = false;
+        NvdimmcSystem sys(scfg);
+        auto res = workload::runMixedLoad(sys.eq(), dataDevice(sys),
+                                          manyUsers(users));
+        EXPECT_EQ(res.transactions, users * 2u);
+        EXPECT_EQ(res.validationFailures, 0u);
+        EXPECT_TRUE(sys.hardwareClean());
+        EXPECT_GT(sys.hostPort().spaceWakeups(), 0u);
+        EXPECT_LE(wakeupsPerLine(sys.hostPort()), 2.0);
+
+        core::BaselineConfig bcfg = core::BaselineConfig::scaledBench();
+        bcfg.memcpy.bulkMode = false;
+        core::BaselineSystem pmem(bcfg);
+        workload::DataDevice dev;
+        dev.capacityBytes = pmem.driver().capacityBytes();
+        dev.read = [&pmem](Addr off, std::uint32_t len,
+                           std::uint8_t* buf,
+                           std::function<void()> done) {
+            pmem.driver().read(off, len, buf, std::move(done));
+        };
+        dev.write = [&pmem](Addr off, std::uint32_t len,
+                            const std::uint8_t* data,
+                            std::function<void()> done) {
+            pmem.driver().write(off, len, data, std::move(done));
+        };
+        res = workload::runMixedLoad(pmem.eq(), dev, manyUsers(users));
+        EXPECT_EQ(res.transactions, users * 2u);
+        EXPECT_EQ(res.validationFailures, 0u);
+        EXPECT_GT(pmem.hostPort().spaceWakeups(), 0u);
+        EXPECT_LE(wakeupsPerLine(pmem.hostPort()), 2.0);
+    }
 }
 
 TEST(Integration, StreamAgingTestIsClean)
