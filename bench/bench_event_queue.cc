@@ -18,18 +18,29 @@
  *    a window's worth of pre-sorted messages admitted one heap push
  *    at a time vs as one staged batch (the coordinator's path), then
  *    drained interleaved with the queue's own churn.
- *  - shape_*: scheduler-shape probes pinning down the timing wheel's
- *    win/loss envelope — dense near-future (level-0 only), sparse
- *    far-future (cascade-dominated), cancel-heavy (lazy deletion),
- *    reschedule-heavy (in-place re-aiming).
+ *  - shape_*: scheduler-shape probes, each one region of the space a
+ *    kernel data structure can win or lose in — dense near-future
+ *    (512 events at < 64-tick deltas), sparse far-future (16 events at
+ *    64K-16M-tick deltas), cancel-heavy (lazy deletion),
+ *    reschedule-heavy (in-place re-aiming) — plus measured_mix, the
+ *    one shape drawn from the simulator's own traffic (2-16 live
+ *    events, picosecond delays from 0 to 16 us, one refresh timer).
+ *    The synthetic shapes keep far more events outstanding at far
+ *    shorter delays than any measured workload (EXPERIMENTS.md,
+ *    "Kernel traffic"), so they bound a change's cost rather than
+ *    predict its effect on a simulation.
  *
  * Every pattern reports events/sec via items_per_second. By default
  * the binary writes its results to BENCH_kernel.json in the working
- * directory (override with --benchmark_out=...).
+ * directory (override with --benchmark_out=...). The JSON context
+ * carries the host name and core count; pass the commit with
+ * --benchmark_context=commit=SHA so a recorded baseline says which
+ * code produced it.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -221,15 +232,14 @@ BM_MailboxBatched(benchmark::State& state)
 }
 
 // ---------------------------------------------------------------------
-// Scheduler-shape microbenches: each isolates one region of the timing
-// wheel's win/loss envelope so a future kernel change shows where it
+// Scheduler-shape microbenches: each isolates one region of the
+// kernel's win/loss envelope so a future kernel change shows where it
 // moved the needle.
 // ---------------------------------------------------------------------
 
 /**
- * Dense near-future: 512 events outstanding, every delay inside the
- * wheel's level-0 block (< 64 ticks). The wheel's best case — O(1)
- * bucket appends and FIFO drains, no cascades at all.
+ * Dense near-future: 512 events outstanding, every delay under 64
+ * ticks — many events, tiny deltas, heavy same-window interleaving.
  */
 void
 BM_ShapeDenseNear(benchmark::State& state)
@@ -256,11 +266,9 @@ BM_ShapeDenseNear(benchmark::State& state)
 }
 
 /**
- * Sparse far-future: a handful of events with multi-level deltas
- * (64K–16M ticks), so nearly every dispatch jumps the clock across
- * empty ranges and cascades entries down. The wheel's worst case —
- * the occupancy bitmasks and lazy cascades are what keep it O(levels)
- * instead of O(range).
+ * Sparse far-future: a handful of events with large deltas (64K–16M
+ * ticks), so nearly every dispatch jumps the clock across a long
+ * empty range.
  */
 void
 BM_ShapeSparseFar(benchmark::State& state)
@@ -291,8 +299,8 @@ BM_ShapeSparseFar(benchmark::State& state)
 /**
  * Cancel-heavy: 7 of 8 scheduled events are cancelled before they
  * can fire (timeout guards). Generation-stamped lazy deletion is what
- * keeps the cancels O(1); the dead entries surface (and are skipped)
- * in bucket compaction.
+ * keeps the cancels O(1); the dead entries are skipped when they
+ * surface or dropped when the kernel compacts.
  */
 void
 BM_ShapeCancelHeavy(benchmark::State& state)
@@ -359,6 +367,125 @@ BM_ShapeRescheduleHeavy(benchmark::State& state)
                             state.iterations());
 }
 
+/**
+ * An intrusive actor for BM_ShapeMeasuredMix: on each fire it steps
+ * again after a delay drawn from the measured mix, goes idle or wakes
+ * an idle sibling (a random walk over 1-15 live actors; with the
+ * refresh timer, 2-16 live events), and sometimes re-aims a sibling
+ * in place, which leaves a dead entry behind.
+ */
+class MixActor final : public Event
+{
+  public:
+    struct Shared
+    {
+        EventQueue& eq;
+        std::vector<Tick> delays; // The measured delay mix, pre-drawn.
+        std::deque<MixActor> actors;
+        std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+        std::uint64_t fired = 0;
+        std::uint64_t budget = 0;
+        std::size_t live = 0;
+
+        std::uint64_t
+        next()
+        {
+            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+            return rng >> 33;
+        }
+
+        Tick delay() { return delays[next() % delays.size()]; }
+    };
+
+    explicit MixActor(Shared& sh) : sh_(sh) {}
+
+    void
+    process() override
+    {
+        if (++sh_.fired >= sh_.budget) {
+            --sh_.live;
+            return;
+        }
+        std::uint64_t r = sh_.next() % 100;
+        if (r < 12) {
+            // In-place reschedule of a sibling (the iMC wakeup being
+            // pushed out): the old entry stays resident, dead.
+            MixActor& sib = sh_.actors[sh_.next() % sh_.actors.size()];
+            if (sib.scheduled())
+                sh_.eq.reschedule(sib, sh_.eq.now() + sh_.delay());
+        }
+        if (r >= 90 && sh_.live > 1) {
+            --sh_.live; // Go idle; a later fire wakes someone.
+            return;
+        }
+        if (r < 10 && sh_.live < 15) {
+            for (MixActor& a : sh_.actors) {
+                if (!a.scheduled() && &a != this) {
+                    sh_.eq.schedule(a, sh_.eq.now() + sh_.delay());
+                    ++sh_.live;
+                    break;
+                }
+            }
+        }
+        sh_.eq.schedule(*this, sh_.eq.now() + sh_.delay());
+    }
+
+    const char* name() const override { return "bench-mix"; }
+
+  private:
+    Shared& sh_;
+};
+
+/**
+ * Measured mix: the event traffic the simulator itself produces on
+ * the simbench workloads (EXPERIMENTS.md, "Kernel traffic"). 2-16
+ * live events; delays ~12% zero and otherwise log-uniform over
+ * 1 ns-16 us (ticks are picoseconds); ~12% of fires re-aim another
+ * event in place; one 7.8 us periodic refresh timer underneath.
+ */
+void
+BM_ShapeMeasuredMix(benchmark::State& state)
+{
+    const std::uint64_t kEvents = 1'000'000;
+    const std::size_t kActors = 16;
+    const Tick kRefreshPeriod = 7'800'000; // tREFI in ps.
+    std::uint64_t total = 0;
+    for (auto _ : state) {
+        EventQueue eq;
+        MixActor::Shared sh{eq, {}, {}};
+        sh.budget = kEvents;
+        // 4096 pre-drawn delays: 12% zero, the rest log-uniform
+        // between 1 ns and 16 us.
+        sh.delays.reserve(4096);
+        for (std::size_t i = 0; i < 4096; ++i) {
+            if (sh.next() % 100 < 12) {
+                sh.delays.push_back(0);
+                continue;
+            }
+            double u = static_cast<double>(sh.next() % 1'000'000) / 1e6;
+            sh.delays.push_back(
+                static_cast<Tick>(1000.0 * std::pow(16'000.0, u)));
+        }
+        for (std::size_t i = 0; i < kActors; ++i)
+            sh.actors.emplace_back(sh);
+        for (std::size_t i = 0; i < 8; ++i) {
+            eq.schedule(sh.actors[i], 1 + sh.delay());
+            ++sh.live;
+        }
+        std::uint64_t refreshes = 0;
+        PeriodicEvent refresh(eq, refreshes, kEvents, kRefreshPeriod);
+        eq.schedule(refresh, kRefreshPeriod);
+        while (sh.fired < kEvents && eq.runOne()) {
+        }
+        eq.deschedule(refresh);
+        for (MixActor& a : sh.actors)
+            eq.deschedule(a);
+        total += eq.eventsFired(); // Actor steps plus refreshes.
+        benchmark::DoNotOptimize(sh.fired + refreshes);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(total));
+}
+
 BENCHMARK(BM_OneShotChain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OneShotChurn4k)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
@@ -369,6 +496,7 @@ BENCHMARK(BM_ShapeDenseNear)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeSparseFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeCancelHeavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeRescheduleHeavy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShapeMeasuredMix)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace nvdimmc::bench

@@ -32,7 +32,8 @@
  * The "users" sweep measures the simulator's own cost under the
  * multi-user load (detailed-memcpy mixedload, 50..4000 users): host
  * wall time per transaction must stay flat and parked-retry wakeups
- * per accepted line near 1. Its export is committed as
+ * per accepted line near 1; each point also exports the exact number
+ * of kernel events it fired. Its export is committed as
  * BENCH_scaling.json; --max-users N drops the larger points.
  *
  * Every JSON export records the host name, the core count and the
@@ -1227,6 +1228,9 @@ struct MixedloadRun
     workload::MixedLoadResult res;
     /** Parked-retry wakeups per line op the iMCs accepted. */
     double wakeupsPerLine = 0.0;
+    /** Kernel cost of the run (the machine is serial: one queue). */
+    std::uint64_t eventsFired = 0;
+    std::uint64_t sboOverflows = 0;
     bool hardwareClean = true;
 };
 
@@ -1288,6 +1292,8 @@ runMixedload(backend::BackendKind kind, unsigned users)
                              ? 0.0
                              : static_cast<double>(port.spaceWakeups()) /
                                    static_cast<double>(lines);
+    run.eventsFired = sys.eq().eventsFired();
+    run.sboOverflows = sys.eq().sboOverflows();
     run.hardwareClean = sys.hardwareClean();
     return run;
 }
@@ -1375,7 +1381,10 @@ makeBackendsSweep()
  * One point of the users sweep: the simulator's own cost of the
  * multi-user load. wakeups_per_line is deterministic (a parked retry
  * fires only when its queue has room, so it stays near 1 at any user
- * count); the point's wall_ms is the host-time scaling evidence.
+ * count), and so are events_fired and sbo_overflows (the kernel's
+ * dispatch count and its callback-capture spills), so any kernel or
+ * model change that fires one event more or less shows up exactly;
+ * the point's wall_ms is the host-time scaling evidence.
  */
 PointResult
 runUsersPoint(backend::BackendKind kind, unsigned users)
@@ -1387,6 +1396,8 @@ runUsersPoint(backend::BackendKind kind, unsigned users)
         {"validation_failures",
          static_cast<double>(run.res.validationFailures)},
         {"wakeups_per_line", run.wakeupsPerLine},
+        {"events_fired", static_cast<double>(run.eventsFired)},
+        {"sbo_overflows", static_cast<double>(run.sboOverflows)},
     };
     out.error = mixedloadError(run, kind);
     return out;

@@ -71,6 +71,8 @@ STABLE_METRICS = frozenset({
     "transactions",
     "committed",
     "wakeups_per_line",
+    "events_fired",
+    "sbo_overflows",
 })
 
 # Point keys that are not metrics.

@@ -22,143 +22,28 @@ EventQueue::schedule(Event& ev, Tick when)
     ev.when_ = when;
     ev.seq_ = nextSeq_++;
     ev.sched_ = true;
-    enqueueEntry(when, ev.seq_, &ev);
     ++livePending_;
-}
-
-bool
-EventQueue::findWheelNextSlow(Tick bound, Tick& when_out,
-                              std::uint64_t& seq_out)
-{
-    // Front slot first: while armed it is by construction <= every
-    // bucket entry, so no scan or cascade is needed at all.
-    if (haveFront_) {
-        if (live(front_)) {
-            focus_ = kFrontFocus;
-            memoValid_ = true;
-            memoWhen_ = front_.when;
-            memoSeq_ = front_.seq;
-            memoFocus_ = kFrontFocus;
-            when_out = front_.when;
-            seq_out = front_.seq;
-            return true;
-        }
-        haveFront_ = false;
-    }
-    focus_ = kNoFocus;
-    for (;;) {
-        // Current 64-tick block: every occupied bucket here covers a
-        // single tick and is already in seq order, so the first live
-        // entry at or past the drain cursor is the wheel minimum.
-        auto c0 = static_cast<std::uint32_t>(clock_) &
-                  (kSlotsPerLevel - 1);
-        std::uint64_t m = occ_[0] & (~std::uint64_t{0} << c0);
-        while (m) {
-            auto s = static_cast<std::uint32_t>(__builtin_ctzll(m));
-            Bucket& b = wheel_[0][s];
-            std::uint32_t& h = head0_[s];
-            while (h < b.size() && !live(b[h])) {
-                ++h;
-                --bucketCount_;
-            }
-            if (h < b.size()) {
-                focus_ = s;
-                memoValid_ = true;
-                memoWhen_ = b[h].when;
-                memoSeq_ = b[h].seq;
-                memoFocus_ = s;
-                when_out = b[h].when;
-                seq_out = b[h].seq;
-                return true;
-            }
-            b.clear();
-            h = 0;
-            occ_[0] &= ~(std::uint64_t{1} << s);
-            m &= m - 1;
-        }
-        // The block is exhausted: cascade the next occupied bucket,
-        // lowest level first (nested blocks make that earliest-first),
-        // then rescan. Each entry descends one level per cascade, so
-        // it is touched at most kLevels times in its lifetime.
-        bool cascaded = false;
-        for (int l = 1; l < kLevels && !cascaded; ++l) {
-            auto li = static_cast<std::size_t>(l);
-            auto cl = static_cast<std::uint32_t>(
-                (clock_ >> (kLevelBits * l)) & (kSlotsPerLevel - 1));
-            std::uint64_t ml = occ_[li] & (~std::uint64_t{0} << cl);
-            while (ml) {
-                auto s = static_cast<std::uint32_t>(
-                    __builtin_ctzll(ml));
-                Bucket& b = wheel_[li][s];
-                // Drop cancelled entries now; a dead-only bucket must
-                // not pull the clock forward.
-                std::size_t w = 0;
-                for (std::size_t r = 0; r < b.size(); ++r)
-                    if (live(b[r]))
-                        b[w++] = b[r];
-                bucketCount_ -= b.size() - w;
-                b.resize(w);
-                if (b.empty()) {
-                    occ_[li] &= ~(std::uint64_t{1} << s);
-                    ml &= ml - 1;
-                    continue;
-                }
-                Tick start = slotStart(l, s);
-                if (start > bound) {
-                    // The caller has not committed now() past bound,
-                    // so a later schedule() may still land before
-                    // this bucket: report its minimum (the bucket is
-                    // seq-ordered, so the first hit at the lowest
-                    // tick is the right tie-break) without moving
-                    // the clock.
-                    Tick bw = kTickNever;
-                    std::uint64_t bs = 0;
-                    for (const WheelEntry& e : b) {
-                        if (e.when < bw) {
-                            bw = e.when;
-                            bs = e.seq;
-                        }
-                    }
-                    when_out = bw;
-                    seq_out = bs;
-                    return true;
-                }
-                NVDC_DASSERT(start > clock_,
-                            "cascading an uncascaded current slot");
-                clock_ = start;
-                occ_[li] &= ~(std::uint64_t{1} << s);
-                bucketCount_ -= b.size();
-                for (const WheelEntry& e : b)
-                    pushEntry(e.when, e.seq, e.ev);
-                b.clear();
-                cascaded = true;
-                break;
-            }
-        }
-        if (!cascaded)
-            return false;
-    }
+    heapPush(HeapEntry{when, ev.seq_, &ev});
 }
 
 void
-EventQueue::fireFocused()
+EventQueue::compactHeap()
 {
-    NVDC_DASSERT(focus_ != kNoFocus, "firing without a focused entry");
-    memoValid_ = false;
-    WheelEntry e;
-    if (focus_ == kFrontFocus) {
-        e = front_;
-        haveFront_ = false;
-        // Leave clock_ alone: bucket entries pushed while the front
-        // was armed were placed relative to the lagging clock.
-    } else {
-        Bucket& b = wheel_[0][focus_];
-        e = b[head0_[focus_]];
-        ++head0_[focus_];
-        --bucketCount_;
-        clock_ = e.when;
-    }
-    focus_ = kNoFocus;
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [](const HeapEntry& e) { return !live(e); }),
+                heap_.end());
+    // Floyd's bottom-up build: O(n), and any valid heap pops in the
+    // same (tick, seq) order.
+    if (heap_.size() > 1)
+        for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;)
+            siftDown(i, heap_[i]);
+}
+
+void
+EventQueue::fireTop()
+{
+    HeapEntry e = heap_.front();
+    popTop();
     NVDC_DASSERT(e.when >= now_, "event in the past");
     now_ = e.when;
     e.ev->sched_ = false;
@@ -270,26 +155,20 @@ EventQueue::fireNextBound(Tick limit, bool strict)
             s_seq = head.seq;
         }
     }
-    // The wheel clock must never pass the earliest staged tick either:
-    // if the staged lane fires first, a callback it runs may schedule
-    // before any tick the wheel skipped ahead to.
-    Tick bound = std::min(limit, s_when);
-    Tick w_when = kTickNever;
-    std::uint64_t w_seq = 0;
-    bool have_wheel = findWheelNext(bound, w_when, w_seq);
+    const HeapEntry* top = liveTop();
     if (si != stages_.size() &&
-        (!have_wheel || s_when < w_when ||
-         (s_when == w_when && s_seq < w_seq))) {
+        (!top || s_when < top->when ||
+         (s_when == top->when && s_seq < top->seq))) {
         if (strict ? s_when >= limit : s_when > limit)
             return false;
         fireStaged(si);
         return true;
     }
-    if (!have_wheel)
+    if (!top)
         return false;
-    if (strict ? w_when >= limit : w_when > limit)
+    if (strict ? top->when >= limit : top->when > limit)
         return false;
-    fireFocused();
+    fireTop();
     return true;
 }
 
@@ -357,24 +236,6 @@ EventQueue::runWindow(Tick end)
 {
     NVDC_ASSERT(end >= now_, "runWindow into the past");
     while (fireNextBound(end, /*strict=*/true)) {
-        // Amortized staged drain: with one batch in flight (the
-        // steady mailbox state) and the wheel minimum memoized, fire
-        // the staged run directly — the full dispatch compare is
-        // settled by three loads per message. Every condition is
-        // re-read each iteration, so a callback that lands a new
-        // batch, schedules an earlier event, or kills the memoized
-        // minimum drops us back to the slow path.
-        while (stages_.size() == 1 && memoValid_) {
-            Stage& st = stages_.front();
-            if (st.cursor == st.items.size())
-                break; // Drained; lingers only in re-entrant runs.
-            const TimedCallback& head = st.items[st.cursor];
-            if (head.when >= end || head.when > memoWhen_ ||
-                (head.when == memoWhen_ && head.seq > memoSeq_)) {
-                break;
-            }
-            fireStaged(0);
-        }
     }
     now_ = end;
 }
@@ -382,13 +243,8 @@ EventQueue::runWindow(Tick end)
 Tick
 EventQueue::peekNextTick()
 {
-    Tick t = kTickNever;
-    std::uint64_t seq = 0;
-    // bound = now_: any clock advance stays at or below now(), which
-    // no later schedule() can undercut, so peeking commits nothing.
-    if (!findWheelNext(now_, t, seq))
-        t = kTickNever;
-    focus_ = kNoFocus;
+    const HeapEntry* top = liveTop();
+    Tick t = top ? top->when : kTickNever;
     for (const Stage& st : stages_)
         if (st.cursor < st.items.size())
             t = std::min(t, st.items[st.cursor].when);
@@ -402,7 +258,7 @@ EventQueue::cancel(EventId id)
     if (!ce)
         return;
     deschedule(*ce);
-    // Release the captured state now rather than when the stale wheel
+    // Release the captured state now rather than when the stale heap
     // entry surfaces; the slot's generation bump retires the id.
     recycleCallback(*ce);
 }
@@ -432,7 +288,7 @@ void
 EventQueue::CallbackEvent::process()
 {
     // Recycle even if the callable throws (a panic propagating out of
-    // a test); the stale wheel entry is skipped by the generation.
+    // a test); the stale heap entry is skipped by the generation.
     struct Recycle
     {
         CallbackEvent& ce;

@@ -14,7 +14,7 @@
  *    place. Nothing is allocated per occurrence; a periodic event
  *    (refresh tick, controller step, GC pass) reuses the same object
  *    forever. Cancellation is O(1): the in-object scheduled flag and
- *    generation sequence are cleared and the stale wheel entry is
+ *    generation sequence are cleared and the stale heap entry is
  *    lazily skipped when it surfaces.
  *
  *  - One-shot callbacks. schedule(when, lambda) stores the callable
@@ -28,40 +28,40 @@
  *  - Staged batches. scheduleBatch(sorted vector) admits a whole
  *    pre-sorted train of never-cancelled one-shots — the sharded
  *    kernel's per-window mailbox deliveries — without touching the
- *    wheel at all: the batch keeps its vector, a cursor walks it, and
- *    the dispatcher merges batch heads against the wheel's earliest
- *    entry. Per message that is O(1) amortized, and the batch buffers
- *    recycle through a free list so steady state allocates nothing
+ *    heap at all: the batch keeps its vector, a cursor walks it, and
+ *    the dispatcher merges batch heads against the heap top. Per
+ *    message that is O(1) amortized, and the batch buffers recycle
+ *    through a free list so steady state allocates nothing
  *    (bench_event_queue BM_Mailbox* measures the difference).
  *
- * Pending events live in a hierarchical timing wheel instead of a
- * binary heap: kLevels levels of 64 buckets, level l bucketing ticks
- * at 64^l granularity, so level 0 resolves single ticks and the top
- * level spans the whole 64-bit tick space (no far-future overflow
- * list is needed). schedule() appends to the owning bucket in O(1);
- * dispatch drains the current level-0 bucket FIFO (entries in a
- * single-tick bucket are already in seq order by construction) and
- * lazily cascades a higher-level bucket down one level each time the
- * wheel clock enters its range. A per-level occupancy bitmask makes
- * "find the next non-empty bucket" one count-trailing-zeros, so empty
- * tick ranges are skipped in O(1) rather than walked. Each entry is
- * touched at most once per level on its way down, so cost per event
- * is O(levels) worst case and O(1) for the near-future deltas that
- * dominate simulation (see DESIGN.md § event kernel for the cascade
- * protocol and the exact-order argument).
+ * Pending events live in one d-ary min-heap of {when, seq, Event*}
+ * entries ordered by (tick, seq). The simulator keeps only a handful
+ * of events live at a time (a mean of 2-11 on the measured workloads)
+ * with delays spread from 0 to ~16 us of picoseconds, so a small heap
+ * is the cheapest exact structure: push and pop are O(log n) over a
+ * few cache lines, and the minimum is always the top (see DESIGN.md
+ * §6e for the measured traffic that retired the timing wheel).
  *
- * All kinds share one sequence counter, so their relative FIFO order
- * is exact.
+ * All kinds share one sequence counter and (tick, seq) is a strict
+ * total order, so every dispatch order is exact and independent of
+ * the heap's internal layout.
+ *
+ * Cancel and reschedule leave the old entry resident (its seq no
+ * longer matches the event's) until it reaches the top and is popped,
+ * or until dead entries outnumber live ones: once the heap holds more
+ * than 2 x pending() entries (and at least kCompactMin) the next push
+ * drops every dead entry in one pass and re-heapifies. Memory stays
+ * O(pending) and each cancel costs O(1) amortized.
  *
  * Lifetime rule for intrusive events: the Event object must outlive
  * every tick it was ever scheduled for — even if descheduled, the
- * queue still holds a (lazily discarded) reference until that tick is
- * reached. In practice events are members of sim components that live
- * for the whole run; the ASan CI job enforces the rule.
+ * queue may still hold a (lazily discarded) reference until that tick
+ * is reached. In practice events are members of sim components that
+ * live for the whole run; the ASan CI job enforces the rule.
  *
  * Semantics of empty()/pending() under lazy deletion: cancelled or
- * descheduled entries never count, even while their stale wheel
- * entries are still unvisited. Consequently runUntil() over a
+ * descheduled entries never count, even while their stale heap
+ * entries are still resident. Consequently runUntil() over a
  * fully-cancelled queue fires nothing and still advances now() to the
  * target tick.
  */
@@ -69,7 +69,7 @@
 #ifndef NVDIMMC_COMMON_EVENT_QUEUE_HH
 #define NVDIMMC_COMMON_EVENT_QUEUE_HH
 
-#include <array>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -115,7 +115,7 @@ class Event
     friend class EventQueue;
 
     Tick when_ = 0;
-    /** Generation stamp: a wheel entry is live iff its seq matches. */
+    /** Generation stamp: a heap entry is live iff its seq matches. */
     std::uint64_t seq_ = 0;
     bool sched_ = false;
     /** True for EventQueue's pooled one-shot slots: lets the
@@ -193,8 +193,6 @@ class EventQueue
             return;
         ev.sched_ = false;
         --livePending_;
-        if (memoValid_ && ev.seq_ == memoSeq_)
-            memoValid_ = false;
     }
 
     /** @} */
@@ -262,8 +260,8 @@ class EventQueue
 
     /** @} */
 
-    /** @return true iff no runnable events remain (cancelled-but-
-     *  unvisited wheel entries never count). */
+    /** @return true iff no runnable events remain (cancelled entries
+     *  still resident in the heap never count). */
     bool empty() const { return livePending_ == 0; }
 
     /** Number of pending (non-cancelled) events of either kind. */
@@ -326,6 +324,11 @@ class EventQueue
      *  past the SBO budget (bench_event_queue reports it). */
     std::uint64_t sboOverflows() const { return sboOverflows_; }
 
+    /** Heap entries currently held, live or dead (a cost probe for
+     *  the lazy-deletion bound, not a stat: dumps never include it).
+     *  Staged batches are not counted. */
+    std::size_t residentEntries() const { return heap_.size(); }
+
   private:
     /** Pooled slot for one-shot callbacks: SBO storage plus a
      *  generation counter that makes EventIds unambiguous. */
@@ -361,170 +364,107 @@ class EventQueue
         alignas(std::max_align_t) unsigned char inline_[kCallbackInlineBytes];
     };
 
-    /** @name Timing wheel */
+    /** @name Pending-event heap */
     /** @{ */
 
-    /** log2 of the bucket fan-out per level. */
-    static constexpr int kLevelBits = 6;
-    static constexpr std::uint32_t kSlotsPerLevel = 1u << kLevelBits;
-    /** 11 levels x 6 bits = 66 bits: the whole Tick space fits, so
-     *  there is no far-future overflow structure to special-case. */
-    static constexpr int kLevels = 11;
-    static constexpr std::uint32_t kNoFocus = ~std::uint32_t{0};
-    /** focus_ value naming the front slot rather than a bucket. */
-    static constexpr std::uint32_t kFrontFocus = kSlotsPerLevel;
+    /** Heap fan-out. Four 24-byte siblings sit in 96 contiguous
+     *  bytes and the tree is half as deep as a binary heap's; 2-ary
+     *  measured 1-3 % slower end to end (DESIGN.md §6e). */
+    static constexpr std::size_t kArity = 4;
+    /** Below this many resident entries dead ones are never
+     *  compacted: popping them at the top is cheaper. */
+    static constexpr std::size_t kCompactMin = 64;
 
-    struct WheelEntry
+    struct HeapEntry
     {
         Tick when;
         std::uint64_t seq;
         Event* ev;
     };
 
-    using Bucket = std::vector<WheelEntry>;
-
-    /** A wheel entry is live iff the event is still scheduled for it. */
+    /** The strict (tick, seq) order every dispatch follows. */
     static bool
-    live(const WheelEntry& e)
+    before(const HeapEntry& a, const HeapEntry& b)
+    {
+        return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+    }
+
+    /** A heap entry is live iff the event is still scheduled for it. */
+    static bool
+    live(const HeapEntry& e)
     {
         return e.ev->sched_ && e.ev->seq_ == e.seq;
     }
 
-    /** Level an entry for @p when belongs to, relative to clock_: the
-     *  lowest level whose parent block contains both ticks. */
-    int
-    levelFor(Tick when) const
-    {
-        std::uint64_t x = when ^ clock_;
-        if (x == 0)
-            return 0;
-        int bit = 63 - __builtin_clzll(x);
-        return bit / kLevelBits;
-    }
-
-    /** First tick covered by slot @p s of level @p l (relative to the
-     *  current clock_ block at level l+1). */
-    Tick
-    slotStart(int l, std::uint32_t s) const
-    {
-        int parent_shift = kLevelBits * (l + 1);
-        Tick parent_mask = parent_shift >= 64
-                               ? ~Tick{0}
-                               : (Tick{1} << parent_shift) - 1;
-        return (clock_ & ~parent_mask) |
-               (static_cast<Tick>(s) << (kLevelBits * l));
-    }
-
-    /** Append an entry into its owning bucket. O(1). */
+    /** Add an entry, first compacting if dead entries dominate. */
     void
-    pushEntry(Tick when, std::uint64_t seq, Event* ev)
+    heapPush(HeapEntry e)
     {
-        int l = levelFor(when);
-        auto s = static_cast<std::uint32_t>(
-            (when >> (kLevelBits * l)) & (kSlotsPerLevel - 1));
-        wheel_[static_cast<std::size_t>(l)][s].push_back(
-            WheelEntry{when, seq, ev});
-        occ_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << s;
-        ++bucketCount_;
+        if (heap_.size() >= kCompactMin &&
+            heap_.size() > 2 * livePending_)
+            compactHeap();
+        std::size_t i = heap_.size();
+        heap_.push_back(e);
+        while (i > 0) {
+            std::size_t parent = (i - 1) / kArity;
+            if (!before(e, heap_[parent]))
+                break;
+            heap_[i] = heap_[parent];
+            i = parent;
+        }
+        heap_[i] = e;
     }
 
-    /** Insert an entry at the head of its owning bucket (before the
-     *  level-0 drain cursor). Only legal for an entry (when, seq)-less
-     *  than everything in the bucket: the demoted front. Buckets stay
-     *  seq-ordered per tick, which the O(1) level-0 drain relies on. */
+    /** Sink @p e from the hole at @p i to its place (by value: @p e
+     *  may be a copy of heap_[i] itself). */
     void
-    pushEntryFront(Tick when, std::uint64_t seq, Event* ev)
+    siftDown(std::size_t i, HeapEntry e)
     {
-        int l = levelFor(when);
-        auto s = static_cast<std::uint32_t>(
-            (when >> (kLevelBits * l)) & (kSlotsPerLevel - 1));
-        Bucket& b = wheel_[static_cast<std::size_t>(l)][s];
-        b.insert(b.begin() + (l == 0 ? head0_[s] : 0),
-                 WheelEntry{when, seq, ev});
-        occ_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << s;
-        ++bucketCount_;
+        const std::size_t n = heap_.size();
+        for (;;) {
+            std::size_t first = kArity * i + 1;
+            if (first >= n)
+                break;
+            std::size_t last = std::min(first + kArity, n);
+            std::size_t best = first;
+            for (std::size_t c = first + 1; c < last; ++c)
+                if (before(heap_[c], heap_[best]))
+                    best = c;
+            if (!before(heap_[best], e))
+                break;
+            heap_[i] = heap_[best];
+            i = best;
+        }
+        heap_[i] = e;
     }
+
+    /** Remove the top entry. */
+    void
+    popTop()
+    {
+        HeapEntry last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0, last);
+    }
+
+    /** The earliest live entry, or null; dead tops are popped. */
+    const HeapEntry*
+    liveTop()
+    {
+        while (!heap_.empty() && !live(heap_.front()))
+            popTop();
+        return heap_.empty() ? nullptr : &heap_.front();
+    }
+
+    /** Drop every dead entry in one pass and re-heapify. */
+    void compactHeap();
+
+    /** Fire the top entry (liveTop() must have returned it). */
+    void fireTop();
 
     /**
-     * Admit an entry, preferring the front slot: when the buckets are
-     * empty the entry is held in front_ and never touches the wheel
-     * at all — the common simulation shape of one (or few)
-     * outstanding events then costs no bucket or cascade work. The
-     * armed front is always strictly (when, seq)-below every bucket
-     * entry: arming requires empty buckets, later pushes either go
-     * behind it or swap with it, and the front only ever decreases
-     * while armed — so it is always the wheel minimum, and a demoted
-     * front belongs at the head of whatever bucket receives it.
-     */
-    void
-    enqueueEntry(Tick when, std::uint64_t seq, Event* ev)
-    {
-        if (haveFront_) {
-            if (!live(front_)) {
-                haveFront_ = false;
-            } else if (when < front_.when) {
-                pushEntryFront(front_.when, front_.seq, front_.ev);
-                front_ = WheelEntry{when, seq, ev};
-                // The new front is by construction the wheel minimum.
-                memoValid_ = true;
-                memoWhen_ = when;
-                memoSeq_ = seq;
-                memoFocus_ = kFrontFocus;
-                return;
-            } else {
-                pushEntry(when, seq, ev);
-                return;
-            }
-        }
-        if (bucketCount_ == 0) {
-            front_ = WheelEntry{when, seq, ev};
-            haveFront_ = true;
-            // The wheel was empty, so this is its minimum: pre-arm
-            // the memo and the next dispatch skips the lookup too.
-            memoValid_ = true;
-            memoWhen_ = when;
-            memoSeq_ = seq;
-            memoFocus_ = kFrontFocus;
-            return;
-        }
-        if (memoValid_ && when < memoWhen_)
-            memoValid_ = false;
-        pushEntry(when, seq, ev);
-    }
-
-    /**
-     * Locate the earliest live wheel entry, cascading higher-level
-     * buckets down as the wheel clock advances — but never advancing
-     * clock_ past @p bound (the caller guarantees now() will reach at
-     * least bound, so no later schedule() can land behind the clock).
-     * On success @p when/@p seq describe the entry; if it was reached
-     * (bucket start <= bound) it is focused for fireFocused(),
-     * otherwise focus is invalid and only (when, seq) is reported.
-     *
-     * The memo fast path stays inline: consecutive dispatches that
-     * did not disturb the minimum (every staged-mailbox drain, every
-     * lone-timer step) cost three loads and a branch.
-     */
-    bool
-    findWheelNext(Tick bound, Tick& when, std::uint64_t& seq)
-    {
-        if (memoValid_) {
-            focus_ = memoFocus_;
-            when = memoWhen_;
-            seq = memoSeq_;
-            return true;
-        }
-        return findWheelNextSlow(bound, when, seq);
-    }
-
-    /** Scan/cascade path of findWheelNext on a memo miss. */
-    bool findWheelNextSlow(Tick bound, Tick& when, std::uint64_t& seq);
-
-    /** Fire the entry focused by findWheelNext(). */
-    void fireFocused();
-
-    /**
-     * Fire the earliest event (wheel or staged lane) if its tick is
+     * Fire the earliest event (heap or staged lane) if its tick is
      * within @p limit — inclusive when @p strict is false (runUntil),
      * exclusive when true (runWindow). @return whether one fired.
      */
@@ -635,53 +575,10 @@ class EventQueue
         }
     }
 
-    /** wheel_[l][s]: entries for the 64^l-tick range of slot s within
-     *  the clock's current level-(l+1) block; a level-0 bucket covers
-     *  exactly one tick, so draining it head-to-tail is already
-     *  (tick, seq) order. */
-    std::array<std::array<Bucket, kSlotsPerLevel>, kLevels> wheel_{};
-    /** Per-level bitmask of non-empty buckets (bit s = slot s). */
-    std::array<std::uint64_t, kLevels> occ_{};
-    /** Drain cursor per level-0 bucket: entries before it have fired
-     *  or died; reset when the bucket is cleared. */
-    std::array<std::uint32_t, kSlotsPerLevel> head0_{};
-    /**
-     * The wheel's dispatch position: every live entry is at tick >=
-     * clock_, and for every level >= 1 the slot containing clock_ has
-     * already been cascaded (so lower levels hold anything earlier
-     * than the next occupied higher-level bucket). clock_ only moves
-     * forward, and never past a tick the caller has not committed
-     * now() to reach.
-     */
-    Tick clock_ = 0;
-    /** Level-0 slot focused by findWheelNext for fireFocused, or
-     *  kFrontFocus when the front slot holds the minimum. */
-    std::uint32_t focus_ = kNoFocus;
-    /**
-     * Memo of the last located-and-focused wheel minimum. Valid until
-     * that entry fires or dies, or a smaller (when, seq) is pushed —
-     * so consecutive dispatches with no intervening earlier schedule
-     * (the staged-mailbox and lone-timer shapes) skip the wheel
-     * lookup entirely. A focused minimum needs no clock movement to
-     * fire, so a memo hit is bound-independent.
-     */
-    bool memoValid_ = false;
-    Tick memoWhen_ = 0;
-    std::uint64_t memoSeq_ = 0;
-    std::uint32_t memoFocus_ = kNoFocus;
-    /**
-     * Front slot: the wheel minimum cached outside the buckets. Armed
-     * only while the buckets are empty, so a lone in-flight event
-     * (the dominant device-model shape: one timer stepping forward)
-     * cycles schedule->fire entirely through this slot. Firing it
-     * advances now() but never clock_: bucket entries pushed while
-     * the front was armed were placed relative to the lagging clock,
-     * and jumping it would strand uncascaded current slots.
-     */
-    WheelEntry front_{};
-    bool haveFront_ = false;
-    /** Entries (live or dead) currently resident in wheel_ buckets. */
-    std::size_t bucketCount_ = 0;
+    /** Pending entries, a kArity-ary min-heap under before(); holds
+     *  dead entries of cancelled or rescheduled events until they
+     *  surface at the top or compactHeap() drops them. */
+    std::vector<HeapEntry> heap_;
 
     std::vector<std::unique_ptr<CallbackEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;
