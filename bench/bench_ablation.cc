@@ -39,7 +39,7 @@ runUncached(std::function<void(core::SystemConfig&)> tweak,
     cfg.runTime = 120 * kMs;
     workload::FioResult res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
     if (tag)
-        writeLatencyBreakdown(tag);
+        recordObservability(tag, *sys);
     return res;
 }
 

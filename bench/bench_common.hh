@@ -8,6 +8,42 @@
  * comparison; see EXPERIMENTS.md for the discussion. System-building
  * helpers live in bench_systems.hh (benchmark-harness-free, also used
  * by the sweep runner).
+ *
+ * Flags every bench binary accepts on top of the Google Benchmark
+ * flags (stripped before benchmark::Initialize):
+ *
+ *      --obs=DIR        record the whole run into DIR (created if
+ *                       missing): request spans, telemetry sampled
+ *                       every 4 x tREFI of simulated time, the crash
+ *                       flight recorder and the Chrome tracer (capped
+ *                       at trace::kDefaultMaxEvents). Files:
+ *                         meta.json        schema_version, host,
+ *                                          host_cores, argv
+ *                         stats.jsonl      full stat dump per benchmark
+ *                         telemetry.jsonl  time series per benchmark
+ *                         breakdown.jsonl  per-op-class per-phase
+ *                                          latency per benchmark (also
+ *                                          printed to stdout)
+ *                         trace.json       trace_event JSON (Perfetto)
+ *                         flight.json      last spans + intervals
+ *                       telemetry.jsonl and breakdown.jsonl are
+ *                       byte-identical for every --threads >= 1.
+ *      --channels=N     build every system with N memory channels
+ *                       (N complete NVDIMM-C modules, page-interleaved;
+ *                       default 1 = the PoC machine).
+ *      --backend=nvdimmc|cxl|pmem
+ *                       media-transport backend every system is built
+ *                       with: the paper's CP-over-DDR4 module
+ *                       (default), the CXL.mem hybrid device (same
+ *                       DRAM cache + Z-NAND behind a modeled link, no
+ *                       refresh windows, 256 B interleave), or the
+ *                       emulated-pmem baseline machine.
+ *      --threads=N|auto run the sharded parallel-in-time kernel with
+ *                       N executors (auto = one per channel); results
+ *                       are byte-identical for every N >= 1. Default:
+ *                       the classic serial kernel.
+ *
+ * A malformed flag value exits 1 with a message.
  */
 
 #ifndef NVDIMMC_BENCH_BENCH_COMMON_HH
@@ -15,11 +51,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 #include "bench_systems.hh"
 #include "common/span.hh"
@@ -43,113 +86,87 @@ report(benchmark::State& state, const workload::FioResult& res,
         state.counters["paper_KIOPS"] = paper_kiops;
 }
 
-/** Observability switches a bench binary accepts on top of the
- *  Google Benchmark flags (stripped before benchmark::Initialize):
- *
- *      --trace[=path]   capture a Chrome trace_event JSON of the whole
- *                       run (default trace.json); open in Perfetto.
- *      --stats[=path]   append one JSON line per benchmark with the
- *                       system's full hierarchical stat dump
- *                       (default stats.jsonl).
- *      --channels=N     build every system with N memory channels
- *                       (N complete NVDIMM-C modules, page-interleaved;
- *                       default 1 = the PoC machine).
- *      --backend=nvdimmc|cxl|pmem
- *                       media-transport backend every system is built
- *                       with: the paper's CP-over-DDR4 module
- *                       (default), the CXL.mem hybrid device (same
- *                       DRAM cache + Z-NAND behind a modeled link, no
- *                       refresh windows, 256 B interleave), or the
- *                       emulated-pmem baseline machine.
- *      --threads=N|auto run the sharded parallel-in-time kernel with
- *                       N executors (auto = one per channel); results
- *                       are byte-identical for every N >= 1. Default:
- *                       the classic serial kernel.
- *      --latency-breakdown[=path]
- *                       record request spans and print a per-op-class
- *                       per-phase latency table after each benchmark,
- *                       appending a JSON line to @p path (default
- *                       latency_breakdown.jsonl). Deterministic: the
- *                       output is byte-identical for every --threads.
- *      --telemetry[=path]
- *                       sample the deterministic time-series telemetry
- *                       every 4 x tREFI of simulated time and append
- *                       one JSONL series per benchmark (default
- *                       telemetry.jsonl). Implies span recording (the
- *                       windowed SLO percentiles ride on it). Output
- *                       is byte-identical for every --threads >= 1.
- *      --flight-dump[=path]
- *                       arm the crash flight recorder (last-N spans +
- *                       last-K telemetry intervals) and dump it at
- *                       exit (default flight.json). It also dumps
- *                       automatically on span-audit failure or fault
- *                       campaign corruption.
- *      --trace-max-events=N
- *                       override the tracer's in-memory event cap.
- */
-struct Observability
-{
-    bool traceOn = false;
-    std::string tracePath = "trace.json";
-    std::string statsPath; ///< Empty = stats export off.
-    bool breakdownOn = false;
-    std::string breakdownPath = "latency_breakdown.jsonl";
-    bool telemetryOn = false;
-    std::string telemetryPath = "telemetry.jsonl";
-    bool flightOn = false;
-    std::string flightPath = "flight.json";
-    std::uint64_t traceMaxEvents = 0; ///< 0 = tracer default.
-};
+/** Upper bounds of --channels= and --threads=. */
+inline constexpr std::uint32_t kMaxBenchChannels = 1024;
+inline constexpr std::uint32_t kMaxBenchThreads = 1024;
 
-inline Observability&
-observability()
+/**
+ * Parse the value of a numeric bench flag (@p flag names it in the
+ * error). A malformed or out-of-range value exits 1 with a message
+ * instead of silently falling back to the default.
+ */
+inline std::uint32_t
+parseFlagCount(const char* flag, const char* text, std::uint32_t lo,
+               std::uint32_t hi)
 {
-    static Observability obs;
-    return obs;
+    char* end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno != 0 ||
+        v < lo || v > hi) {
+        std::cerr << "invalid " << flag << "'" << text
+                  << "' (expected an integer in [" << lo << ", " << hi
+                  << "])\n";
+        std::exit(1);
+    }
+    return static_cast<std::uint32_t>(v);
+}
+
+/** The --obs output directory (empty = observability off). */
+inline std::string&
+observabilityDir()
+{
+    static std::string dir;
+    return dir;
+}
+
+/** Write DIR/meta.json: schema version, host, core count and the
+ *  command line that produced the directory. */
+inline void
+writeObservabilityMeta(const std::string& dir,
+                       const std::vector<std::string>& args)
+{
+    char host[256] = "unknown";
+    gethostname(host, sizeof(host) - 1);
+    std::ofstream os(dir + "/meta.json");
+    os << "{\"schema_version\":" << telemetry::kSchemaVersion
+       << ",\"host\":\"" << host << "\",\"host_cores\":"
+       << std::thread::hardware_concurrency() << ",\"argv\":[";
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        os << (i ? ",\"" : "\"");
+        for (char c : args[i]) {
+            if (c == '"' || c == '\\')
+                os << '\\';
+            os << c;
+        }
+        os << '"';
+    }
+    os << "]}\n";
 }
 
 /**
- * Strip --trace / --stats from argv (call before
- * benchmark::Initialize) and start the tracer if asked. Tracing is
- * process-wide and single-threaded; benches run systems serially.
+ * Strip the bench flags (see the file comment) from argv; call before
+ * benchmark::Initialize. Under --obs=DIR, create DIR, write its
+ * meta.json, and turn on spans, telemetry, the flight recorder and
+ * the tracer. These are process-wide; benches run systems serially.
  */
 inline void
 initObservability(int* argc, char** argv)
 {
-    Observability& obs = observability();
+    std::string& dir = observabilityDir();
+    const std::vector<std::string> args(argv, argv + *argc);
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
         const char* a = argv[i];
-        if (std::strcmp(a, "--trace") == 0) {
-            obs.traceOn = true;
-        } else if (std::strncmp(a, "--trace=", 8) == 0) {
-            obs.traceOn = true;
-            obs.tracePath = a + 8;
-        } else if (std::strcmp(a, "--stats") == 0) {
-            obs.statsPath = "stats.jsonl";
-        } else if (std::strncmp(a, "--stats=", 8) == 0) {
-            obs.statsPath = a + 8;
-        } else if (std::strcmp(a, "--latency-breakdown") == 0) {
-            obs.breakdownOn = true;
-        } else if (std::strncmp(a, "--latency-breakdown=", 20) == 0) {
-            obs.breakdownOn = true;
-            obs.breakdownPath = a + 20;
-        } else if (std::strcmp(a, "--telemetry") == 0) {
-            obs.telemetryOn = true;
-        } else if (std::strncmp(a, "--telemetry=", 12) == 0) {
-            obs.telemetryOn = true;
-            obs.telemetryPath = a + 12;
-        } else if (std::strcmp(a, "--flight-dump") == 0) {
-            obs.flightOn = true;
-        } else if (std::strncmp(a, "--flight-dump=", 14) == 0) {
-            obs.flightOn = true;
-            obs.flightPath = a + 14;
-        } else if (std::strncmp(a, "--trace-max-events=", 19) == 0) {
-            obs.traceMaxEvents = std::strtoull(a + 19, nullptr, 10);
+        if (std::strncmp(a, "--obs=", 6) == 0) {
+            dir = a + 6;
+            if (dir.empty()) {
+                std::cerr << "--obs= needs a directory\n";
+                std::exit(1);
+            }
         } else if (std::strncmp(a, "--channels=", 11) == 0) {
-            int n = std::atoi(a + 11);
-            if (n >= 1)
-                benchChannels() = static_cast<std::uint32_t>(n);
+            benchChannels() = parseFlagCount("--channels=", a + 11, 1,
+                                             kMaxBenchChannels);
         } else if (std::strncmp(a, "--backend=", 10) == 0) {
             backend::BackendKind kind;
             if (!backend::parseBackendKind(a + 10, kind)) {
@@ -161,136 +178,105 @@ initObservability(int* argc, char** argv)
         } else if (std::strcmp(a, "--threads=auto") == 0) {
             benchThreads() = kBenchThreadsAuto;
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
-            int n = std::atoi(a + 10);
-            if (n >= 0)
-                benchThreads() = static_cast<std::uint32_t>(n);
+            benchThreads() = parseFlagCount("--threads=", a + 10, 0,
+                                            kMaxBenchThreads);
         } else {
             argv[out++] = argv[i];
         }
     }
     *argc = out;
-    if (obs.traceOn)
-        trace::start(obs.tracePath, obs.traceMaxEvents);
-    if (obs.breakdownOn)
-        span::enable();
-    if (obs.telemetryOn) {
-        // The windowed SLO percentiles drain the span layer's
-        // interval-reset histograms, so telemetry implies spans.
-        span::enable();
-        telemetry::enable();
+    if (dir.empty())
+        return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        std::cerr << "--obs: cannot create '" << dir
+                  << "': " << ec.message() << "\n";
+        std::exit(1);
     }
-    if (obs.flightOn) {
-        span::enable(); // The span ring is the recorder's substrate.
-        telemetry::flightArm(obs.flightPath);
-    }
+    // The JSONL files are appended per benchmark; start them empty so
+    // the directory always holds exactly one run.
+    for (const char* f : {"/stats.jsonl", "/telemetry.jsonl",
+                          "/breakdown.jsonl"})
+        std::ofstream(dir + f, std::ios::trunc);
+    writeObservabilityMeta(dir, args);
+    trace::start(dir + "/trace.json");
+    // The windowed SLO percentiles drain the span layer, and the span
+    // ring is the flight recorder's substrate.
+    span::enable();
+    telemetry::enable();
+    telemetry::flightArm(dir + "/flight.json");
 }
 
-/** Append one {"bench": name, "_meta": {...}, "stats": {...}} line
- *  to the stats JSONL file (no-op unless --stats was given). The
- *  _meta.schema_version stamp lets check_bench_regression.py refuse
- *  cross-version comparisons instead of silently diffing. */
-inline void
-writeSystemStats(const std::string& name,
-                 const core::NvdimmcSystem& sys)
+/** Backend a system was built with (the stats line's tag). */
+inline backend::BackendKind
+backendOf(const core::NvdimmcSystem& sys)
 {
-    const Observability& obs = observability();
-    if (obs.statsPath.empty())
-        return;
-    std::ofstream os(obs.statsPath, std::ios::app);
-    if (!os)
-        return;
-    os << "{\"bench\":\"" << name
-       << "\",\"_meta\":{\"schema_version\":"
-       << telemetry::kSchemaVersion << "},\"stats\":";
-    sys.dumpStatsJson(os);
-    os << "}\n";
+    return sys.config().backendKind;
 }
 
-/** Same, for a backend-polymorphic device (tags the line with the
- *  backend so head-to-head runs can be merged from one JSONL). */
-inline void
-writeSystemStats(const std::string& name, const BenchDevice& dev)
+inline backend::BackendKind
+backendOf(const core::BaselineSystem&)
 {
-    const Observability& obs = observability();
-    if (obs.statsPath.empty())
-        return;
-    std::ofstream os(obs.statsPath, std::ios::app);
-    if (!os)
-        return;
-    os << "{\"bench\":\"" << name << "\",\"backend\":\""
-       << backend::toString(benchBackend())
-       << "\",\"_meta\":{\"schema_version\":"
-       << telemetry::kSchemaVersion << "},\"stats\":";
-    dev.dumpStatsJson(os);
-    os << "}\n";
+    return backend::BackendKind::Pmem;
 }
 
-/** Append the system's telemetry series (header + one line per
- *  interval) to the telemetry JSONL file (no-op unless --telemetry
- *  was given). Call while the system is still alive, right after the
- *  workload finishes. */
-inline void
-writeTelemetry(const std::string& name, core::NvdimmcSystem& sys)
+inline backend::BackendKind
+backendOf(const BenchDevice& dev)
 {
-    const Observability& obs = observability();
-    if (!obs.telemetryOn || !sys.telemetryCollector())
-        return;
-    std::ofstream os(obs.telemetryPath, std::ios::app);
-    if (os)
-        sys.telemetryCollector()->writeJsonl(os, name);
-}
-
-/** Same, for a backend-polymorphic device. */
-inline void
-writeTelemetry(const std::string& name, BenchDevice& dev)
-{
-    const Observability& obs = observability();
-    if (!obs.telemetryOn || !dev.telemetryCollector())
-        return;
-    std::ofstream os(obs.telemetryPath, std::ios::app);
-    if (os)
-        dev.telemetryCollector()->writeJsonl(os, name);
+    return dev.nvdc ? backendOf(*dev.nvdc) : backendOf(*dev.pmem);
 }
 
 /**
- * Print the per-op-class per-phase latency table for the spans
- * recorded since the last call, append the JSON block to the
- * breakdown file, then reset the recorder so the next benchmark
- * starts clean (no-op unless --latency-breakdown was given).
+ * Record one finished benchmark into the --obs directory (no-op
+ * without --obs); call while @p sys is still alive, right after the
+ * workload. Appends the stats line (tagged with the backend and
+ * `_meta.schema_version`, which check_bench_regression.py checks),
+ * the telemetry series, and the latency-breakdown block (also
+ * printed to stdout as a per-op-class per-phase table), then resets
+ * the span recorder so the next benchmark starts clean. @p System is
+ * core::NvdimmcSystem, core::BaselineSystem or BenchDevice.
  */
-inline void
-writeLatencyBreakdown(const std::string& name)
+template <class System>
+void
+recordObservability(const std::string& name, System& sys)
 {
-    const Observability& obs = observability();
-    if (!obs.breakdownOn)
+    const std::string& dir = observabilityDir();
+    if (dir.empty())
         return;
-    span::writeBreakdownTable(std::cout, name);
-    if (!obs.breakdownPath.empty()) {
-        std::ofstream os(obs.breakdownPath, std::ios::app);
-        if (os) {
-            os << "{\"bench\":\"" << name << "\",\"breakdown\":";
-            span::writeBreakdownJson(os);
-            os << "}\n";
-        }
+    std::ofstream stats(dir + "/stats.jsonl", std::ios::app);
+    stats << "{\"bench\":\"" << name << "\",\"backend\":\""
+          << backend::toString(backendOf(sys))
+          << "\",\"_meta\":{\"schema_version\":"
+          << telemetry::kSchemaVersion << "},\"stats\":";
+    sys.dumpStatsJson(stats);
+    stats << "}\n";
+    if (const telemetry::Collector* c = sys.telemetryCollector()) {
+        std::ofstream os(dir + "/telemetry.jsonl", std::ios::app);
+        c->writeJsonl(os, name);
     }
+    span::writeBreakdownTable(std::cout, name);
+    std::ofstream os(dir + "/breakdown.jsonl", std::ios::app);
+    os << "{\"bench\":\"" << name << "\",\"breakdown\":";
+    span::writeBreakdownJson(os);
+    os << "}\n";
     span::reset();
 }
 
-/** Flush the trace file and the armed flight recorder (no-ops
- *  unless --trace / --flight-dump were given). */
+/** Write trace.json and flight.json (no-op without --obs). */
 inline void
 finishObservability()
 {
-    if (observability().traceOn)
-        trace::stop();
-    if (observability().flightOn)
-        telemetry::flightDump("flag");
+    if (observabilityDir().empty())
+        return;
+    trace::stop();
+    telemetry::flightDump("flag");
 }
 
 } // namespace nvdimmc::bench
 
-/** BENCHMARK_MAIN() plus the --trace / --stats observability flags
- *  (stripped from argv before Google Benchmark sees them). */
+/** BENCHMARK_MAIN() plus the bench flags (stripped from argv before
+ *  Google Benchmark sees them; any other unknown flag exits 1). */
 #define NVDIMMC_BENCH_MAIN()                                          \
     int main(int argc, char** argv)                                   \
     {                                                                 \

@@ -36,8 +36,8 @@ BM_NvdcCached_Granularity(benchmark::State& state,
         cfg.runTime = 25 * kMs;
         cfg.regionBytes = cachedRegionBytes(*sys);
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_NvdcCached_Granularity/" +
-                              std::to_string(bs));
+        recordObservability(
+            "BM_NvdcCached_Granularity/" + std::to_string(bs), *sys);
     }
     // Paper anchors: 2147 KIOPS at 128 B reads; 3050 MB/s at 64 KB.
     double pk = 0.0, pm = 0.0;
@@ -107,7 +107,7 @@ BM_NvdcCached_128B_8T(benchmark::State& state)
         cfg.runTime = 20 * kMs;
         cfg.regionBytes = cachedRegionBytes(*sys);
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_NvdcCached_128B_8T");
+        recordObservability("BM_NvdcCached_128B_8T", *sys);
     }
     report(state, res, 0.0, 10900.0);
 }

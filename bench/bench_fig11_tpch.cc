@@ -49,8 +49,8 @@ BM_Fig11_TpchQuery(benchmark::State& state)
 
         normalized = static_cast<double>(t_nvdc) /
                      static_cast<double>(t_base);
-        writeLatencyBreakdown("BM_Fig11_TpchQuery/" +
-                              std::to_string(spec.id));
+        recordObservability(
+            "BM_Fig11_TpchQuery/" + std::to_string(spec.id), dev);
     }
     state.counters["normalized_slowdown"] = normalized;
     if (spec.id == 1)

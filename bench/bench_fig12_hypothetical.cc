@@ -61,8 +61,8 @@ BM_Fig12_Hypothetical(benchmark::State& state)
         cfg.rampTime = 2 * kMs;
         cfg.runTime = 60 * kMs;
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_Fig12_Hypothetical/" +
-                              std::to_string(state.range(0)));
+        recordObservability(
+            "BM_Fig12_Hypothetical/" + std::to_string(state.range(0)), *sys);
     }
     report(state, res, paperMBps(static_cast<int>(state.range(0))),
            0.0);
@@ -101,8 +101,8 @@ BM_Fig12_Mechanistic(benchmark::State& state)
         cfg.rampTime = 5 * kMs;
         cfg.runTime = 100 * kMs;
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_Fig12_Mechanistic/" +
-                              std::to_string(state.range(0)));
+        recordObservability(
+            "BM_Fig12_Mechanistic/" + std::to_string(state.range(0)), *sys);
     }
     report(state, res, paperMBps(static_cast<int>(state.range(0))),
            0.0);

@@ -56,9 +56,10 @@ BM_Fig13_HostSide(benchmark::State& state)
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
         if (!sys->hardwareClean())
             state.SkipWithError("bus conflict detected");
-        writeLatencyBreakdown("BM_Fig13_HostSide/" +
-                              std::to_string(trefi_ns) + "/" +
-                              std::to_string(threads));
+        recordObservability("BM_Fig13_HostSide/" +
+                                std::to_string(trefi_ns) + "/" +
+                                std::to_string(threads),
+                            *sys);
     }
     report(state, res, paperFor(trefi_ns, static_cast<int>(threads)),
            0.0);

@@ -39,7 +39,7 @@ BM_Fig7_FileCopy(benchmark::State& state)
                                     nvdcAccess(sys), cfg);
         if (!sys.hardwareClean())
             state.SkipWithError("bus conflict detected");
-        writeLatencyBreakdown("BM_Fig7_FileCopy");
+        recordObservability("BM_Fig7_FileCopy", sys);
     }
     state.counters["cached_MBps"] = res.cachedPhaseMBps;
     state.counters["uncached_MBps"] = res.uncachedPhaseMBps;

@@ -63,14 +63,9 @@ BM_NvdcCached(benchmark::State& state, FioConfig::Pattern pattern,
         res = runFio(dev.eq(), dev.access(), cfg);
         if (!dev.hardwareClean())
             state.SkipWithError("bus conflict detected");
-        writeSystemStats(std::string("BM_NvdcCached/") +
-                             patternTag(pattern),
-                         dev);
-        writeTelemetry(std::string("BM_NvdcCached/") +
-                           patternTag(pattern),
-                       dev);
-        writeLatencyBreakdown(std::string("BM_NvdcCached/") +
-                              patternTag(pattern));
+        recordObservability(std::string("BM_NvdcCached/") +
+                                patternTag(pattern),
+                            dev);
     }
     report(state, res, paper_mbps, paper_kiops);
 }
@@ -91,14 +86,9 @@ BM_NvdcUncached(benchmark::State& state, FioConfig::Pattern pattern,
         res = runFio(dev.eq(), dev.access(), cfg);
         if (!dev.hardwareClean())
             state.SkipWithError("bus conflict detected");
-        writeSystemStats(std::string("BM_NvdcUncached/") +
-                             patternTag(pattern),
-                         dev);
-        writeTelemetry(std::string("BM_NvdcUncached/") +
-                           patternTag(pattern),
-                       dev);
-        writeLatencyBreakdown(std::string("BM_NvdcUncached/") +
-                              patternTag(pattern));
+        recordObservability(std::string("BM_NvdcUncached/") +
+                                patternTag(pattern),
+                            dev);
     }
     report(state, res, paper_mbps, paper_kiops);
 }
@@ -124,11 +114,9 @@ BM_NvdcCachedAggregate(benchmark::State& state,
         res = runFio(dev.eq(), dev.access(), cfg);
         if (!dev.hardwareClean())
             state.SkipWithError("bus conflict detected");
-        writeSystemStats(std::string("BM_NvdcCachedAggregate/") +
-                             patternTag(pattern),
-                         dev);
-        writeLatencyBreakdown(std::string("BM_NvdcCachedAggregate/") +
-                              patternTag(pattern));
+        recordObservability(std::string("BM_NvdcCachedAggregate/") +
+                                patternTag(pattern),
+                            dev);
     }
     report(state, res, 0.0, 0.0);
     state.counters["channels"] =

@@ -59,8 +59,8 @@ BM_NvdcCached_Threads(benchmark::State& state,
         FioConfig cfg = cfgFor(pattern, threads);
         cfg.regionBytes = cachedRegionBytes(*sys);
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_NvdcCached_Threads/" +
-                              std::to_string(threads));
+        recordObservability(
+            "BM_NvdcCached_Threads/" + std::to_string(threads), *sys);
     }
     bool read = pattern == FioConfig::Pattern::RandRead;
     // Paper peaks: reads 1060 KIOPS / 4341 MB/s at 8T; writes 1127
@@ -91,8 +91,8 @@ BM_NvdcUncached_Threads(benchmark::State& state,
         cfg.rampTime = 5 * kMs;
         cfg.runTime = 120 * kMs;
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_NvdcUncached_Threads/" +
-                              std::to_string(threads));
+        recordObservability(
+            "BM_NvdcUncached_Threads/" + std::to_string(threads), *sys);
     }
     // Paper: saturates at 4 threads, 24.3 KIOPS / 99.7 MB/s.
     report(state, res, threads == 4 ? 99.7 : 0.0,

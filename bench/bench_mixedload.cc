@@ -68,10 +68,8 @@ BM_MixedLoad_Users(benchmark::State& state)
         res = workload::runMixedLoad(sys.eq(), dev, mc);
         if (!sys.hardwareClean())
             state.SkipWithError("bus conflict detected");
-        writeTelemetry("BM_MixedLoad_Users/" + std::to_string(users),
-                       sys);
-        writeLatencyBreakdown("BM_MixedLoad_Users/" +
-                              std::to_string(users));
+        recordObservability(
+            "BM_MixedLoad_Users/" + std::to_string(users), sys);
     }
     state.counters["transactions"] =
         static_cast<double>(res.transactions);

@@ -80,7 +80,7 @@ BM_Variant_NvdimmC_Cached(benchmark::State& state,
         cfg.rampTime = 2 * kMs;
         cfg.runTime = 25 * kMs;
         res = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        writeLatencyBreakdown("BM_Variant_NvdimmC_Cached");
+        recordObservability("BM_Variant_NvdimmC_Cached", *sys);
     }
     report(state, res, 0.0, 0.0);
 }

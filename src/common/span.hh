@@ -37,7 +37,7 @@
  * Exports: (1) per-op-class per-phase Histograms registered into a
  * StatRegistry (registerStats), (2) a human-readable breakdown table
  * and an exact-integer JSON block (writeBreakdownTable/Json — the
- * --latency-breakdown bench flag), (3) Chrome trace flow/async
+ * breakdown.jsonl of a bench's --obs=DIR), (3) Chrome trace flow/async
  * events at close() when the tracer is also on, so one miss shows as
  * an arrow-connected lane across the span.driver / span.nvmc /
  * span.ftl / span.znand tracks in Perfetto.

@@ -52,46 +52,6 @@ internedName(const std::string& s)
 
 } // namespace
 
-// ---------------------------------------------------------------- bus
-
-void
-SignalBus::subscribe(std::string signal, Handler fn)
-{
-    subs_.push_back({std::move(signal), std::move(fn)});
-}
-
-void
-SignalBus::publish(const std::string& signal, Tick now,
-                   std::uint64_t value)
-{
-    bool stored = false;
-    for (auto& [name, last] : last_) {
-        if (name == signal) {
-            last = value;
-            stored = true;
-            break;
-        }
-    }
-    if (!stored)
-        last_.emplace_back(signal, value);
-    for (auto& sub : subs_)
-        if (sub.signal == signal)
-            sub.fn(now, value);
-}
-
-bool
-SignalBus::lastValue(const std::string& signal,
-                     std::uint64_t& out) const
-{
-    for (const auto& [name, last] : last_) {
-        if (name == signal) {
-            out = last;
-            return true;
-        }
-    }
-    return false;
-}
-
 // ---------------------------------------------------------- collector
 
 struct Collector::Probe
@@ -104,7 +64,6 @@ struct Collector::Probe
     };
 
     Kind kind;
-    bool signal;
     std::function<std::uint64_t()> get;
     std::function<std::uint64_t()> den; ///< RatioPermille only.
     std::uint64_t last = 0;             ///< Delta/ratio numerator.
@@ -143,31 +102,28 @@ Collector::~Collector()
 
 void
 Collector::addGauge(std::string name,
-                    std::function<std::uint64_t()> get, bool signal)
+                    std::function<std::uint64_t()> get)
 {
     names_.push_back(std::move(name));
-    probes_.push_back(
-        {Probe::Kind::Gauge, signal, std::move(get), {}, 0, 0});
+    probes_.push_back({Probe::Kind::Gauge, std::move(get), {}, 0, 0});
 }
 
 void
 Collector::addDelta(std::string name,
-                    std::function<std::uint64_t()> get, bool signal)
+                    std::function<std::uint64_t()> get)
 {
     names_.push_back(std::move(name));
-    probes_.push_back(
-        {Probe::Kind::Delta, signal, std::move(get), {}, 0, 0});
+    probes_.push_back({Probe::Kind::Delta, std::move(get), {}, 0, 0});
 }
 
 void
 Collector::addRatioPermille(std::string name,
                             std::function<std::uint64_t()> num,
-                            std::function<std::uint64_t()> den,
-                            bool signal)
+                            std::function<std::uint64_t()> den)
 {
     names_.push_back(std::move(name));
-    probes_.push_back({Probe::Kind::RatioPermille, signal,
-                       std::move(num), std::move(den), 0, 0});
+    probes_.push_back({Probe::Kind::RatioPermille, std::move(num),
+                       std::move(den), 0, 0});
 }
 
 void
@@ -274,10 +230,6 @@ Collector::sample()
     }
 
     records_.push_back(std::move(rec));
-    const IntervalRecord& stored = records_.back();
-    for (std::size_t i = 0; i < probes_.size(); ++i)
-        if (probes_[i].signal)
-            bus_.publish(names_[i], now, stored.values[i]);
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic time-series telemetry: windowed metrics on a
- * simulated-time cadence, streaming SLO percentiles, a load-signal
- * bus, and a crash flight recorder.
+ * simulated-time cadence, streaming SLO percentiles, and a crash
+ * flight recorder.
  *
  * The StatRegistry (stats.hh) answers "what happened over the whole
  * run"; this layer answers "what was happening at t = 1.3 ms". A
@@ -38,15 +38,10 @@
  *     of the window edge and is its own — equally deterministic —
  *     series.)
  *
- * The **SignalBus** re-publishes probes flagged as load signals
- * (miss-queue depth, writeback backlog, window utilization) to
- * subscribed callbacks each interval, in deterministic order: the
- * hook for adaptive refresh/QoS policies (ROADMAP items 2 and 3).
- *
  * The **flight recorder** is a process-global bounded ring of the
  * last N completed spans and last K telemetry intervals, dumped to
  * JSON when the span auditor fails, a fault campaign detects
- * corruption, or a bench is run with `--flight-dump`.
+ * corruption, or a bench run with `--obs=DIR` exits.
  *
  * Like trace:: and span::, the layer is zero-overhead when off (one
  * global-bool branch) and is a per-process facility: enable it for
@@ -62,7 +57,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -97,42 +91,6 @@ void disable();
  *  telemetryIntervalTicks at 0: @p trefi x 4 (~31 us of simulated
  *  time at the paper's 7.8 us tREFI). */
 Tick defaultInterval(Tick trefi);
-
-/**
- * Pub/sub of named per-interval load signals. Each Collector owns
- * one; probes registered with `signal = true` are published to it
- * every sample, after the interval record is appended. Handlers run
- * on the host queue in subscription order (deterministic), so a
- * subscribed policy may schedule events in response without breaking
- * the byte-identity contract.
- */
-class SignalBus
-{
-  public:
-    using Handler = std::function<void(Tick now, std::uint64_t value)>;
-
-    /** Subscribe @p fn to @p signal (a probe name). Unknown names are
-     *  legal — the subscription simply never fires. */
-    void subscribe(std::string signal, Handler fn);
-
-    /** Publish one sample; runs matching handlers in subscription
-     *  order and remembers the value for lastValue(). */
-    void publish(const std::string& signal, Tick now,
-                 std::uint64_t value);
-
-    /** Most recently published value of @p signal, if any. */
-    bool lastValue(const std::string& signal,
-                   std::uint64_t& out) const;
-
-  private:
-    struct Sub
-    {
-        std::string signal;
-        Handler fn;
-    };
-    std::vector<Sub> subs_;
-    std::vector<std::pair<std::string, std::uint64_t>> last_;
-};
 
 /** Percentile digest of one op-class's spans that *closed* inside one
  *  interval — drained from the span layer's interval-reset
@@ -180,17 +138,14 @@ class Collector
     /** @name Probe registration (before start(); sampled in
      *  registration order). @{ */
     /** Instantaneous value. */
-    void addGauge(std::string name, std::function<std::uint64_t()> get,
-                  bool signal = false);
+    void addGauge(std::string name, std::function<std::uint64_t()> get);
     /** Cumulative counter; the record holds the per-interval delta. */
-    void addDelta(std::string name, std::function<std::uint64_t()> get,
-                  bool signal = false);
+    void addDelta(std::string name, std::function<std::uint64_t()> get);
     /** Exact-integer permille of two cumulative-counter deltas
      *  (1000 * d(num) / d(den); 0 when d(den) == 0). */
     void addRatioPermille(std::string name,
                           std::function<std::uint64_t()> num,
-                          std::function<std::uint64_t()> den,
-                          bool signal = false);
+                          std::function<std::uint64_t()> den);
     /** @} */
 
     /** Schedule the first sample at now + interval. */
@@ -203,7 +158,6 @@ class Collector
     void sample();
 
     Tick interval() const { return interval_; }
-    SignalBus& bus() { return bus_; }
     const std::vector<IntervalRecord>& records() const
     {
         return records_;
@@ -235,7 +189,6 @@ class Collector
     std::vector<Probe> probes_;
     std::vector<std::string> names_;
     std::vector<IntervalRecord> records_;
-    SignalBus bus_;
     std::unique_ptr<SampleEvent> event_;
     bool running_ = false;
 };
@@ -245,8 +198,8 @@ class Collector
  * by span::detail::closeImpl while armed) plus the last K telemetry
  * interval lines (pushed by every Collector::sample). Dumped to the
  * armed path when the span auditor fails (span::audit), a fault
- * campaign detects corruption, or a bench exits under
- * `--flight-dump`. Thread-safe; recording while disarmed is a no-op.
+ * campaign detects corruption, or a bench exits under `--obs=DIR`.
+ * Thread-safe; recording while disarmed is a no-op.
  * @{ */
 
 /** One completed span as the flight ring stores it. */

@@ -315,7 +315,7 @@ stop()
         warn("trace: capture hit the ", cap->maxEvents,
              "-event cap; dropped ", cap->dropped,
              " events (the written trace is truncated; raise it via"
-             " --trace-max-events=)");
+             " trace::start's maxEvents)");
     }
     return static_cast<bool>(os);
 }

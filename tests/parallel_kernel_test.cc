@@ -579,7 +579,7 @@ TEST(SpanShardAudit, BreakdownJsonByteIdenticalAcrossThreadCounts)
 {
     // Spans open and close on the host shard, whose event order is
     // executor-count-invariant, so the exact-integer JSON export must
-    // match byte for byte — the --latency-breakdown determinism
+    // match byte for byte — the breakdown.jsonl determinism
     // guarantee.
     std::string t1 = spanBreakdownRun(4, 1);
     std::string t4 = spanBreakdownRun(4, 4);
