@@ -38,10 +38,10 @@
  *                       DRAM cache + Z-NAND behind a modeled link, no
  *                       refresh windows, 256 B interleave), or the
  *                       emulated-pmem baseline machine.
- *      --threads=N|auto run the sharded parallel-in-time kernel with
- *                       N executors (auto = one per channel); results
- *                       are byte-identical for every N >= 1. Default:
- *                       the classic serial kernel.
+ *      --threads=N|auto run the sharded parallel-in-time kernel
+ *                       (any N >= 1, or auto: the same execution on
+ *                       the calling thread). Default: the classic
+ *                       serial kernel.
  *
  * A malformed flag value exits 1 with a message.
  */
@@ -176,7 +176,7 @@ initObservability(int* argc, char** argv)
             }
             benchBackend() = kind;
         } else if (std::strcmp(a, "--threads=auto") == 0) {
-            benchThreads() = kBenchThreadsAuto;
+            benchThreads() = 1;
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
             benchThreads() = parseFlagCount("--threads=", a + 10, 0,
                                             kMaxBenchThreads);

@@ -55,13 +55,10 @@ benchChannels()
 }
 
 /**
- * Simulation thread count every bench system is built with (the
- * --threads=N|auto knob). 0 = classic serial kernel (default);
- * kBenchThreadsAuto = one executor per shard; any other N runs the
- * sharded kernel with N executors.
+ * SystemConfig::threads every bench system is built with (the
+ * --threads=N|auto knob; auto is 1). 0 = classic serial kernel
+ * (default); any N >= 1 selects the sharded kernel.
  */
-inline constexpr std::uint32_t kBenchThreadsAuto = ~std::uint32_t{0};
-
 inline std::uint32_t&
 benchThreads()
 {
@@ -80,23 +77,6 @@ benchBackend()
 {
     static backend::BackendKind kind = backend::BackendKind::Nvdimmc;
     return kind;
-}
-
-/**
- * Resolve the --threads request against the shard count @p cfg will
- * actually build: channels x 2 when the media split applies (Z-NAND
- * channels each contribute a DDR-side and a media shard), channels
- * otherwise. The system clamps to hardware concurrency on top.
- */
-inline std::uint32_t
-resolvedBenchThreads(const core::SystemConfig& cfg)
-{
-    std::uint32_t t = benchThreads();
-    if (t != kBenchThreadsAuto)
-        return t;
-    bool split =
-        cfg.mediaShards && cfg.media == core::MediaKind::ZNand;
-    return cfg.channels * (split ? 2 : 1);
 }
 
 /** Device access function over an NVDIMM-C system (timing-only). */
@@ -147,7 +127,7 @@ benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
     if (tweak)
         tweak(cfg);
     if (cfg.threads == 0)
-        cfg.threads = resolvedBenchThreads(cfg);
+        cfg.threads = benchThreads();
     armSpanAuditor(cfg);
     return cfg;
 }
@@ -209,8 +189,7 @@ uncachedRegion(core::NvdimmcSystem& sys)
 /**
  * Build the emulated-pmem baseline with the --channels / --threads
  * globals applied (the BaselineConfig analogue of
- * benchSystemConfig(); the pmem machine has no media shards, so
- * --threads=auto resolves to one executor per channel).
+ * benchSystemConfig()).
  */
 inline std::unique_ptr<core::BaselineSystem>
 makePmemSystem(std::function<void(core::BaselineConfig&)> tweak = {})
@@ -219,11 +198,8 @@ makePmemSystem(std::function<void(core::BaselineConfig&)> tweak = {})
     cfg.channels = benchChannels();
     if (tweak)
         tweak(cfg);
-    if (cfg.threads == 0 && benchThreads() != 0) {
-        cfg.threads = benchThreads() == kBenchThreadsAuto
-                          ? cfg.channels
-                          : benchThreads();
-    }
+    if (cfg.threads == 0)
+        cfg.threads = benchThreads();
     return std::make_unique<core::BaselineSystem>(cfg);
 }
 

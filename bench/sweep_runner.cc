@@ -10,23 +10,24 @@
  * the sweep twice (serial, then parallel) and comparing the formatted
  * results.
  *
- * The "parallel" sweep exercises the other axis of parallelism — the
- * sharded parallel-in-time kernel *inside* one simulation — proving
- * executors=N byte-identical to executors=1 and recording the
- * threads x channels wall-clock scaling study (JSON `perf` blocks).
+ * The "parallel" sweep records the cost of the sharded parallel-in-time
+ * kernel against the serial one (threads=0 vs threads=1) from 1 to 64
+ * channels, plus the media split's own contribution; each point
+ * exports the exact number of kernel events it fired, which CI gates
+ * against BENCH_parallel.json.
  *
  * The "latency" sweep proves the request-span latency breakdown is
- * deterministic: executors=1 and executors=N must export byte-identical
+ * deterministic: threads=1 and threads=N must export byte-identical
  * per-phase JSON, and the span auditor must pass on both runs.
  *
  * The "telemetry" sweep proves the time-series telemetry export is
- * deterministic: the same machine and workload at executors in
+ * deterministic: the same machine and workload at --threads in
  * {1, 2, N} must export byte-identical telemetry JSONL (interval
  * ticks, exact-integer probe values, windowed SLO percentiles).
  *
  * The "backends" sweep runs the media-transport seam's contract:
  * per-backend (nvdimmc, cxl, pmem) byte-identity verify points across
- * executor counts, plus the fig8/fig11/mixedload head-to-head whose
+ * --threads values, plus the fig8/fig11/mixedload head-to-head whose
  * JSON export is committed as BENCH_backends.json.
  *
  * The "users" sweep measures the simulator's own cost under the
@@ -366,6 +367,31 @@ makeCachePolicySweep()
     return sweep;
 }
 
+/** Exact kernel cost of a whole run, over every queue. */
+struct KernelCost
+{
+    std::uint64_t eventsFired = 0;
+    std::uint64_t sboOverflows = 0;
+};
+
+KernelCost
+kernelCost(core::NvdimmcSystem& sys)
+{
+    if (const ShardCoordinator* coord = sys.coordinator())
+        return {coord->totalEventsFired(), coord->totalSboOverflows()};
+    return {sys.eq().eventsFired(), sys.eq().sboOverflows()};
+}
+
+/** Append the kernel cost counters; CI gates them exactly. */
+void
+appendKernelCost(PointResult& out, const KernelCost& cost)
+{
+    out.metrics.emplace_back("events_fired",
+                             static_cast<double>(cost.eventsFired));
+    out.metrics.emplace_back("sbo_overflows",
+                             static_cast<double>(cost.sboOverflows));
+}
+
 /**
  * One point of the channel-scaling sweep: an N-module topology under a
  * cached random 4 KB FIO load with enough threads that aggregate
@@ -388,6 +414,7 @@ runChannelsPoint(std::uint32_t channels, FioConfig::Pattern pattern)
     cfg.runTime = 25 * kMs;
     PointResult out = fioPoint(runFio(sys->eq(), nvdcAccess(*sys), cfg));
     appendSystemStats(out, *sys);
+    appendKernelCost(out, kernelCost(*sys));
     return out;
 }
 
@@ -411,14 +438,15 @@ makeChannelsSweep()
 /**
  * One measured run for the parallel-kernel sweep: a cached random
  * 4 KB FIO load on an N-channel system built with cfg.threads =
- * threads (0 = classic serial kernel, >= 1 = sharded kernel with that
- * many executors). The thread count travels through the config tweak
- * so points stay safe to run concurrently.
+ * threads (0 = classic serial kernel, >= 1 = sharded kernel). The
+ * thread count travels through the config tweak so points stay safe
+ * to run concurrently.
  */
 struct ShardedRun
 {
     workload::FioResult fio;
-    std::string stats; ///< dumpStats text (deterministic).
+    std::string stats; ///< dumpStats text (backend verify points).
+    KernelCost cost;
     double wallMs = 0.0;
 };
 
@@ -457,58 +485,15 @@ runShardedFio(std::uint32_t channels, std::uint32_t threads,
         cfg.runTime = run_time;
     ShardedRun run;
     run.fio = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-    std::ostringstream stats;
-    sys->dumpStats(stats);
-    run.stats = stats.str();
+    run.cost = kernelCost(*sys);
     run.wallMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
     return run;
 }
 
-/**
- * Byte-exactness proof for the sharded kernel: the same machine and
- * workload run twice in-point — executors=1 (the reference
- * interleaving) and executors=N — and every FioResult field plus the
- * full dumpStats text must match exactly. A divergence sets the
- * point's error, which fails the run (rc=1). Both wall clocks land in
- * the JSON `perf` block; the metrics carry only deterministic values.
- */
-PointResult
-runParallelVerifyPoint(std::uint32_t channels, std::uint32_t threads,
-                       FioConfig::Pattern pattern,
-                       bool uncached = false, Tick run_time = 0)
-{
-    ShardedRun ser = runShardedFio(channels, 1, pattern,
-                                   /*media_shards=*/true, uncached,
-                                   run_time);
-    ShardedRun par = runShardedFio(channels, threads, pattern,
-                                   /*media_shards=*/true, uncached,
-                                   run_time);
-    const bool ok = ser.fio.mbps == par.fio.mbps &&
-                    ser.fio.kiops == par.fio.kiops &&
-                    ser.fio.ops == par.fio.ops &&
-                    ser.fio.meanLatency == par.fio.meanLatency &&
-                    ser.fio.p50 == par.fio.p50 &&
-                    ser.fio.p99 == par.fio.p99 &&
-                    ser.stats == par.stats;
-    PointResult out = fioPoint(par.fio);
-    out.metrics.emplace_back("channels",
-                             static_cast<double>(channels));
-    out.metrics.emplace_back("threads", static_cast<double>(threads));
-    out.metrics.emplace_back("verify_ok", ok ? 1.0 : 0.0);
-    out.perf = {{"wall_serial_ms", ser.wallMs},
-                {"wall_parallel_ms", par.wallMs},
-                {"speedup_x",
-                 par.wallMs > 0 ? ser.wallMs / par.wallMs : 0.0}};
-    if (!ok)
-        out.error = "sharded executors=" + std::to_string(threads) +
-                    " diverged from executors=1";
-    return out;
-}
-
-/** One threads x channels scaling-matrix point. @p run_time shortens
- *  the simulated window for wide machines (0 = the default 25 ms). */
+/** One threads x channels matrix point. @p run_time shortens the
+ *  simulated window for wide machines (0 = the default 25 ms). */
 PointResult
 runParallelMatrixPoint(std::uint32_t channels, std::uint32_t threads,
                        bool media_shards = true,
@@ -522,61 +507,29 @@ runParallelMatrixPoint(std::uint32_t channels, std::uint32_t threads,
                              static_cast<double>(channels));
     out.metrics.emplace_back("threads", static_cast<double>(threads));
     out.metrics.emplace_back("media_shards", media_shards ? 1.0 : 0.0);
+    appendKernelCost(out, run.cost);
     out.perf = {{"wall_run_ms", run.wallMs}};
     return out;
 }
 
 /**
- * The parallel-in-time kernel sweep (EXPERIMENTS.md): verify/<N>ch*
- * points prove executors=N byte-identical to executors=1 on the same
- * sharded machine — including executor counts *above* the channel
- * count, which only the media-split shards can absorb, and an
- * uncached point that keeps the FTL + Z-NAND shards under real load;
- * matrix/<N>ch_t<T> points record the threads x channels wall-clock
- * scaling study folded into BENCH_parallel.json (t > N rows ride on
- * the media shards; the media/ pair isolates the split's own win at
- * a fixed channel count). threads=0 is the classic serial kernel
- * baseline (a different modeled machine — no host or media link — so
- * its throughput differs slightly by design); threads >= 1 is the
- * sharded kernel.
+ * The parallel-in-time kernel sweep (EXPERIMENTS.md): matrix/<N>ch_t0
+ * vs matrix/<N>ch_t1 is the serial kernel against the sharded one on
+ * the same load (a different modeled machine — the serial kernel has
+ * no host or media link — so throughput differs slightly by design).
+ * Every threads >= 1 is the same execution, so one sharded point per
+ * (channels, media split) is all there is to measure. The 16–64
+ * channel points run a shorter simulated window (the per-simulated-ms
+ * event count grows with the channel count); the media/ pair isolates
+ * the media split's cost on an all-miss 4-channel load.
  */
 Sweep
 makeParallelSweep()
 {
     Sweep sweep{"parallel", {}};
     auto& p = sweep.points;
-    for (std::uint32_t n : {2u, 4u}) {
-        p.push_back({"verify/" + std::to_string(n) + "ch", [n] {
-            return runParallelVerifyPoint(
-                n, n, FioConfig::Pattern::RandRead);
-        }});
-        // Executors beyond the channel count: only sound because the
-        // media split doubled the shard vector.
-        p.push_back({"verify/" + std::to_string(n) + "ch_t" +
-                         std::to_string(2 * n),
-                     [n] {
-                         return runParallelVerifyPoint(
-                             n, 2 * n, FioConfig::Pattern::RandRead);
-                     }});
-    }
-    p.push_back({"verify/2ch_uncached_t4", [] {
-        return runParallelVerifyPoint(
-            2, 4, FioConfig::Pattern::RandRead, /*uncached=*/true);
-    }});
-    // Byte-identity at campaign width: a 16-channel machine with a
-    // full-width executor vector must still replay the executors=1
-    // interleaving exactly (short window, same reason as matrix/).
-    p.push_back({"verify/16ch_t16", [] {
-        return runParallelVerifyPoint(
-            16, 16, FioConfig::Pattern::RandRead,
-            /*uncached=*/false, /*run_time=*/4 * kMs);
-    }});
     for (std::uint32_t n : {1u, 2u, 4u}) {
-        std::vector<std::uint32_t> threads = {0u, 1u};
-        if (n > 1)
-            threads.push_back(n);
-        threads.push_back(2 * n);
-        for (std::uint32_t t : threads) {
+        for (std::uint32_t t : {0u, 1u}) {
             p.push_back({"matrix/" + std::to_string(n) + "ch_t" +
                              std::to_string(t),
                          [n, t] {
@@ -584,40 +537,29 @@ makeParallelSweep()
                          }});
         }
     }
-    // Wide-machine scaling study (16–64 channels): the per-simulated-ms
-    // event count grows with the channel count, so these points run a
-    // shorter simulated window — they exist to measure executor
-    // scaling on wide shard vectors, not to age the cache. Executor
-    // counts sample the ladder up to the channel count.
     for (std::uint32_t n : {16u, 32u, 64u}) {
-        for (std::uint32_t t : {1u, 4u, n / 2, n}) {
-            p.push_back({"matrix/" + std::to_string(n) + "ch_t" +
-                             std::to_string(t),
-                         [n, t] {
-                             return runParallelMatrixPoint(
-                                 n, t, /*media_shards=*/true,
-                                 /*uncached=*/false,
-                                 /*run_time=*/4 * kMs);
-                         }});
-        }
+        p.push_back({"matrix/" + std::to_string(n) + "ch_t1", [n] {
+                         return runParallelMatrixPoint(
+                             n, 1, /*media_shards=*/true,
+                             /*uncached=*/false,
+                             /*run_time=*/4 * kMs);
+                     }});
     }
-    // The media split's own contribution, all else fixed: an all-miss
-    // load on 4 channels with executors pinned at the channel count
-    // (media shards off) vs the full shard vector (on).
-    p.push_back({"media/4ch_uncached_off_t4", [] {
-        return runParallelMatrixPoint(4, 4, /*media_shards=*/false,
-                                      /*uncached=*/true);
-    }});
-    p.push_back({"media/4ch_uncached_on_t8", [] {
-        return runParallelMatrixPoint(4, 8, /*media_shards=*/true,
-                                      /*uncached=*/true);
-    }});
+    for (bool on : {false, true}) {
+        p.push_back({std::string("media/4ch_uncached_") +
+                         (on ? "on" : "off"),
+                     [on] {
+                         return runParallelMatrixPoint(
+                             4, 1, /*media_shards=*/on,
+                             /*uncached=*/true);
+                     }});
+    }
     return sweep;
 }
 
 /**
  * One latency-breakdown measurement: request spans on, a random 4 KB
- * FIO load on an N-channel machine with the given executor count, and
+ * FIO load on an N-channel machine with the given --threads value, and
  * the per-op-class per-phase JSON plus the span audit as the result.
  */
 struct BreakdownRun
@@ -672,7 +614,7 @@ runBreakdownFio(std::uint32_t channels, std::uint32_t threads,
 
 /**
  * Determinism proof for the breakdown export: the identical machine
- * and workload run with executors=1 and executors=N must produce
+ * and workload run with threads=1 and threads=N must produce
  * byte-identical latency-breakdown JSON (same spans, same phase
  * tick counts, same percentiles), and both runs must pass the span
  * auditor (every span closed, phases tile end-to-end, window waits
@@ -692,8 +634,8 @@ runLatencyVerifyPoint(std::uint32_t channels, std::uint32_t threads,
         {"breakdown_identical", identical ? 1.0 : 0.0},
     };
     if (!identical)
-        out.error = "breakdown JSON diverged between executors=1 and "
-                    "executors=" +
+        out.error = "breakdown JSON diverged between threads=1 and "
+                    "threads=" +
                     std::to_string(threads);
     else if (!ser.auditOk || !par.auditOk)
         out.error = "span audit failed";
@@ -722,7 +664,7 @@ makeLatencySweep()
  * (which implies span recording — the windowed SLO percentiles drain
  * the span layer), a workload, and the collector's full JSONL export
  * as the result. The export label is fixed per point, so runs that
- * differ only in executor count must produce byte-identical strings.
+ * differ only in --threads value must produce byte-identical strings.
  */
 struct TelemetryRun
 {
@@ -820,12 +762,12 @@ runTelemetryMixed(std::uint32_t threads, const char* label)
 
 /**
  * Determinism proof for the telemetry export: the identical machine
- * and workload run at executors in {1, 2, N} must produce
+ * and workload run at --threads in {1, 2, N} must produce
  * byte-identical telemetry JSONL (same interval ticks, same
  * exact-integer probe values, same windowed percentiles), and every
  * run must pass the span auditor. The sample event rides the host
  * queue, so it observes device state at the barrier-safe window edge
- * regardless of executor count — this point is the enforcement.
+ * regardless of --threads value — this point is the enforcement.
  */
 PointResult
 telemetryVerdict(const TelemetryRun& t1, const TelemetryRun& t2,
@@ -840,7 +782,7 @@ telemetryVerdict(const TelemetryRun& t1, const TelemetryRun& t2,
         {"threads_identical", identical ? 1.0 : 0.0},
     };
     if (!identical)
-        out.error = "telemetry JSONL diverged across executors=1/2/" +
+        out.error = "telemetry JSONL diverged across threads=1/2/" +
                     std::to_string(n);
     else if (!t1.auditOk || !t2.auditOk || !tn.auditOk)
         out.error = "span audit failed";
@@ -893,7 +835,7 @@ makeTelemetrySweep()
 /**
  * One power-fail sweep point: cut at @p frac of the uncut run, replay
  * recovery, and prove the whole campaign byte-identical across
- * executor counts. Integrity (corrupt=0 with ADR) and determinism
+ * --threads values. Integrity (corrupt=0 with ADR) and determinism
  * both land in the verified metrics.
  */
 PointResult
@@ -1039,7 +981,7 @@ makeBackendDevice(backend::BackendKind kind, bool uncached)
 /**
  * One measured run for a backend byte-identity point: a cached random
  * 4 KB FIO load on a 2-channel machine fronted by @p kind, built with
- * the given executor count.
+ * the given --threads value.
  */
 ShardedRun
 runBackendFio(backend::BackendKind kind, std::uint32_t channels,
@@ -1083,7 +1025,7 @@ runBackendFio(backend::BackendKind kind, std::uint32_t channels,
 
 /**
  * The per-backend byte-exactness proof: the same machine and workload
- * with executors=1 (reference) and executors=N must agree on every
+ * with threads=1 (reference) and threads=N must agree on every
  * FIO field and the full stats dump. Extends the sharded kernel's
  * verify contract to every transport behind the MediaBackend seam.
  */
@@ -1109,8 +1051,8 @@ runBackendVerifyPoint(backend::BackendKind kind,
                 {"wall_parallel_ms", par.wallMs}};
     if (!ok)
         out.error = std::string(backend::toString(kind)) +
-                    " backend executors=" + std::to_string(threads) +
-                    " diverged from executors=1";
+                    " backend threads=" + std::to_string(threads) +
+                    " diverged from threads=1";
     return out;
 }
 
@@ -1334,7 +1276,7 @@ runBackendMixedloadPoint(backend::BackendKind kind)
 /**
  * The backends sweep (the MediaBackend seam's verify + head-to-head
  * contract): per backend, byte-identity points at --threads in
- * {1, N, 2N} on a 2-channel machine (each point runs executors=1 as
+ * {1, N, 2N} on a 2-channel machine (each point runs threads=1 as
  * the in-point reference), then the fig8/fig11/mixedload comparison
  * whose JSON export is committed as BENCH_backends.json. serialOnly:
  * the fig8 points use the process-global span recorder.
@@ -1348,10 +1290,6 @@ makeBackendsSweep()
                       backend::BackendKind::CxlHybrid,
                       backend::BackendKind::Pmem}) {
         const std::string tag = backend::toString(kind);
-        // channels=2: N = 2 (one executor per channel) and 2N = 4
-        // (only the media-split shard vector can absorb the extra
-        // executors on the hybrid transports; the pmem machine clamps
-        // to its channel count, which must stay byte-identical too).
         for (std::uint32_t t : {2u, 4u}) {
             p.push_back({tag + "/verify/2ch_t" + std::to_string(t),
                          [kind, t] {

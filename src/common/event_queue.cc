@@ -240,6 +240,14 @@ EventQueue::runWindow(Tick end)
     now_ = end;
 }
 
+void
+EventQueue::skipWindow(Tick end)
+{
+    NVDC_DASSERT(end >= now_ && peekNextTick() >= end,
+                 "skipWindow over a pending event");
+    now_ = end;
+}
+
 Tick
 EventQueue::peekNextTick()
 {

@@ -303,6 +303,14 @@ class EventQueue
      */
     void runWindow(Tick end);
 
+    /**
+     * runWindow(@p end) for a queue the caller has already peeked
+     * idle up to @p end (peekNextTick() >= end): advances now() with
+     * no dispatch probe. The coordinator's shortcut for shards with
+     * nothing to run in a round.
+     */
+    void skipWindow(Tick end);
+
     /** Earliest pending event tick, or kTickNever if none. */
     Tick peekNextTick();
 

@@ -11,31 +11,6 @@ namespace nvdimmc
 namespace
 {
 
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-}
-
-/** Spin briefly, then fall back to yielding: the sharded kernel must
- *  stay live when executors outnumber cores (CI runners, laptops). */
-template <typename Pred>
-void
-spinWait(Pred&& ready)
-{
-    for (int i = 0; i < 1024; ++i) {
-        if (ready())
-            return;
-        cpuRelax();
-    }
-    while (!ready())
-        std::this_thread::yield();
-}
-
 /** t + dt without wrapping past kTickNever. */
 inline Tick
 satAdd(Tick t, Tick dt)
@@ -47,19 +22,15 @@ satAdd(Tick t, Tick dt)
 
 ShardCoordinator::ShardCoordinator(EventQueue& host,
                                    std::vector<EventQueue*> shards,
-                                   Tick quantum, unsigned executors)
+                                   Tick quantum)
     : host_(host),
       shards_(std::move(shards)),
       quantum_(quantum),
-      executors_(std::max(
-          1u, std::min(executors,
-                       static_cast<unsigned>(
-                           std::max<std::size_t>(1, shards_.size()))))),
       outbox_(shards_.size()),
       pending_(shards_.size()),
+      peek_(shards_.size(), kTickNever),
       links_(shards_.size()),
-      defaultLinks_(shards_.size(), true),
-      errors_(executors_)
+      defaultLinks_(shards_.size(), true)
 {
     NVDC_ASSERT(!shards_.empty(), "sharded system needs >= 1 shard");
     NVDC_ASSERT(quantum_ > 0, "sync quantum must be positive");
@@ -69,21 +40,21 @@ ShardCoordinator::ShardCoordinator(EventQueue& host,
         ls.push_back(Link{kToHost, quantum_, {}});
 }
 
-ShardCoordinator::~ShardCoordinator()
-{
-    if (!workers_.empty()) {
-        quit_.store(true, std::memory_order_release);
-        for (auto& w : workers_)
-            w.join();
-    }
-}
-
 std::uint64_t
 ShardCoordinator::totalEventsFired() const
 {
     std::uint64_t n = host_.eventsFired();
     for (const EventQueue* s : shards_)
         n += s->eventsFired();
+    return n;
+}
+
+std::uint64_t
+ShardCoordinator::totalSboOverflows() const
+{
+    std::uint64_t n = host_.sboOverflows();
+    for (const EventQueue* s : shards_)
+        n += s->sboOverflows();
     return n;
 }
 
@@ -127,7 +98,7 @@ ShardCoordinator::postToShard(std::uint32_t shard, Tick when, Fn fn)
     // (or an adaptive-lookahead promise) exceeds the cross-shard
     // interaction latency.
     NVDC_ASSERT(!inRound_ ||
-                    when >= windowEnd_.load(std::memory_order_relaxed),
+                    when >= windowEnd_,
                 "cross-shard message inside the sync window: quantum "
                 "exceeds the conservative lookahead bound");
     pending_[shard].push_back(
@@ -139,10 +110,10 @@ ShardCoordinator::postToHost(std::uint32_t shard, Tick when, Fn fn)
 {
     NVDC_ASSERT(shard < shardCount(), "postToHost: bad shard index");
     NVDC_ASSERT(!inRound_ ||
-                    when >= windowEnd_.load(std::memory_order_relaxed),
+                    when >= windowEnd_,
                 "shard-to-host message inside the sync window: an "
                 "output promise or link latency was broken");
-    outbox_[shard].msgs.push_back(Msg{when, kToHost, std::move(fn)});
+    outbox_[shard].push_back(Msg{when, kToHost, std::move(fn)});
 }
 
 void
@@ -152,55 +123,60 @@ ShardCoordinator::postToPeer(std::uint32_t from, std::uint32_t to,
     NVDC_ASSERT(from < shardCount() && to < shardCount() && from != to,
                 "postToPeer: bad shard pair");
     NVDC_ASSERT(!inRound_ ||
-                    when >= windowEnd_.load(std::memory_order_relaxed),
+                    when >= windowEnd_,
                 "peer-to-peer message inside the sync window: an "
                 "output promise or link latency was broken");
-    outbox_[from].msgs.push_back(
+    outbox_[from].push_back(
         Msg{when, static_cast<std::int32_t>(to), std::move(fn)});
+}
+
+void
+ShardCoordinator::admit(EventQueue& q,
+                        std::vector<EventQueue::TimedCallback>& box)
+{
+    if (box.empty())
+        return;
+    if (box.size() == 1) {
+        // The common case: one message, no sort, no staged batch. It
+        // takes the next sequence number just as a batch element would.
+        q.schedule(box[0].when, std::move(box[0].fn));
+        box.clear();
+        return;
+    }
+    // One sort + one staged-batch admission instead of a heap push per
+    // message. The stable sort keeps same-tick messages in post order,
+    // so the sequence is exactly what per-message scheduling produced.
+    std::stable_sort(box.begin(), box.end(),
+                     [](const EventQueue::TimedCallback& a,
+                        const EventQueue::TimedCallback& b) {
+                         return a.when < b.when;
+                     });
+    q.scheduleBatch(box); // Consumes; hands back empty scratch.
 }
 
 void
 ShardCoordinator::deliverToShards()
 {
-    for (std::uint32_t s = 0; s < shardCount(); ++s) {
-        auto& box = pending_[s];
-        if (box.empty())
-            continue;
-        // Batch delivery: one sort + one staged-batch admission per
-        // shard per round instead of a heap push per message. The
-        // stable sort keeps same-tick messages in post order, so the
-        // sequence is exactly what per-message scheduling produced.
-        std::stable_sort(box.begin(), box.end(),
-                         [](const EventQueue::TimedCallback& a,
-                            const EventQueue::TimedCallback& b) {
-                             return a.when < b.when;
-                         });
-        shards_[s]->scheduleBatch(box);
-    }
+    for (std::uint32_t s = 0; s < shardCount(); ++s)
+        admit(*shards_[s], pending_[s]);
 }
 
 Tick
-ShardCoordinator::earliestWork()
+ShardCoordinator::scan(Tick* bound)
 {
-    Tick t = host_.peekNextTick();
-    for (EventQueue* s : shards_)
-        t = std::min(t, s->peekNextTick());
-    return t;
-}
-
-Tick
-ShardCoordinator::windowBound()
-{
-    Tick e = kTickNever;
+    const Tick ph = host_.peekNextTick();
+    Tick next = ph;
     // The host's own outputs are bounded by the quantum its ports were
     // built around.
-    Tick ph = host_.peekNextTick();
-    if (ph != kTickNever)
-        e = std::min(e, satAdd(ph, quantum_));
+    Tick e = ph == kTickNever ? kTickNever : satAdd(ph, quantum_);
     for (std::uint32_t s = 0; s < shardCount(); ++s) {
-        Tick p = shards_[s]->peekNextTick();
+        const Tick p = shards_[s]->peekNextTick();
+        peek_[s] = p;
         if (p == kTickNever)
             continue; // No event to fire -> nothing can be emitted.
+        next = std::min(next, p);
+        if (!bound)
+            continue;
         for (const Link& l : links_[s]) {
             Tick b = satAdd(p, l.latency);
             if (l.promise)
@@ -208,7 +184,9 @@ ShardCoordinator::windowBound()
             e = std::min(e, b);
         }
     }
-    return e;
+    if (bound)
+        *bound = e;
+    return next;
 }
 
 void
@@ -220,117 +198,45 @@ ShardCoordinator::advanceAll(Tick t)
 }
 
 void
-ShardCoordinator::startWorkers()
-{
-    slots_.reserve(executors_ - 1);
-    workers_.reserve(executors_ - 1);
-    for (unsigned e = 1; e < executors_; ++e)
-        slots_.push_back(std::make_unique<WorkerSlot>());
-    for (unsigned e = 1; e < executors_; ++e)
-        workers_.emplace_back([this, e] { workerLoop(e); });
-}
-
-void
-ShardCoordinator::runShardRange(unsigned executor, Tick end)
-{
-    try {
-        for (std::uint32_t s = executor; s < shardCount();
-             s += executors_)
-            shards_[s]->runWindow(end);
-    } catch (...) {
-        errors_[executor] = std::current_exception();
-    }
-}
-
-void
-ShardCoordinator::workerLoop(unsigned executor)
-{
-    WorkerSlot& slot = *slots_[executor - 1];
-    std::uint64_t last = 0;
-    for (;;) {
-        spinWait([&] {
-            return slot.go.load(std::memory_order_acquire) != last ||
-                   quit_.load(std::memory_order_acquire);
-        });
-        std::uint64_t round = slot.go.load(std::memory_order_acquire);
-        if (round == last)
-            return; // quit_ set with no new round pending.
-        last = round;
-        runShardRange(executor,
-                      windowEnd_.load(std::memory_order_relaxed));
-        slot.done.store(round, std::memory_order_release);
-    }
-}
-
-void
-ShardCoordinator::rethrowShardError()
-{
-    for (auto& err : errors_) {
-        if (err) {
-            std::exception_ptr e = err;
-            for (auto& other : errors_)
-                other = nullptr;
-            inRound_ = false;
-            std::rethrow_exception(e);
-        }
-    }
-}
-
-void
 ShardCoordinator::round(Tick end)
 {
     inRound_ = true;
+    windowEnd_ = end;
     ++windows_;
-    windowEnd_.store(end, std::memory_order_relaxed);
 
     const std::uint32_t n = shardCount();
-    if (executors_ > 1 && workers_.empty())
-        startWorkers();
-
-    if (executors_ == 1) {
-        // The reference interleaving: every parallel schedule must be
-        // indistinguishable from this one.
-        runShardRange(0, end);
-    } else {
-        ++roundId_;
-        for (auto& slot : slots_)
-            slot->go.store(roundId_, std::memory_order_release);
-        runShardRange(0, end);
-        for (auto& slot : slots_)
-            spinWait([&] {
-                return slot->done.load(std::memory_order_acquire) ==
-                       roundId_;
-            });
+    try {
+        for (std::uint32_t s = 0; s < n; ++s) {
+            // peek_ is still exact: a shard's queue changes only while
+            // its own window runs, and deliveries wait for next round.
+            if (peek_[s] < end)
+                shards_[s]->runWindow(end);
+            else
+                shards_[s]->skipWindow(end);
+        }
+    } catch (...) {
+        inRound_ = false;
+        throw;
     }
-    rethrowShardError();
 
     // Route the outboxes in shard order. Host-bound messages merge
     // deterministically: concatenating in shard order and stable-
     // sorting by tick yields the canonical (tick, shard, post-order)
-    // sequence regardless of which worker ran which shard. Peer-bound
-    // messages append to the destination's pending box, delivered at
-    // the next round's top in the same canonical order.
-    merge_.clear();
+    // sequence. Peer-bound messages append to the destination's
+    // pending box, delivered at the next round's top in the same
+    // canonical order.
     for (std::uint32_t s = 0; s < n; ++s) {
         auto& box = outbox_[s];
-        for (Msg& m : box.msgs) {
-            if (m.dest == kToHost) {
-                merge_.push_back(EventQueue::TimedCallback{
-                    m.when, std::move(m.fn), 0});
-            } else {
-                pending_[static_cast<std::uint32_t>(m.dest)].push_back(
-                    EventQueue::TimedCallback{m.when, std::move(m.fn),
-                                              0});
-            }
+        for (Msg& m : box) {
+            auto& dest = m.dest == kToHost
+                             ? merge_
+                             : pending_[static_cast<std::uint32_t>(m.dest)];
+            dest.push_back(
+                EventQueue::TimedCallback{m.when, std::move(m.fn), 0});
         }
-        box.msgs.clear();
+        box.clear();
     }
-    std::stable_sort(merge_.begin(), merge_.end(),
-                     [](const EventQueue::TimedCallback& a,
-                        const EventQueue::TimedCallback& b) {
-                         return a.when < b.when;
-                     });
-    host_.scheduleBatch(merge_); // Consumes; hands back empty scratch.
+    admit(host_, merge_);
 
     host_.runWindow(end);
     inRound_ = false;
@@ -345,7 +251,8 @@ ShardCoordinator::runUntil(Tick target)
         deliverToShards();
         if (host_.now() >= target)
             break;
-        Tick next = earliestWork();
+        Tick bound = kTickNever;
+        const Tick next = scan(&bound);
         if (next >= target) {
             // Nothing runnable before the target: one idle jump.
             advanceAll(target);
@@ -357,7 +264,6 @@ ShardCoordinator::runUntil(Tick target)
         // provably quiet (promises say nothing is in flight) the
         // round runs straight to the target — the decoupled fast
         // path.
-        Tick bound = windowBound();
         NVDC_ASSERT(bound > next, "window bound regressed below the "
                                   "earliest runnable event");
         round(std::min(bound, target));
@@ -369,7 +275,7 @@ ShardCoordinator::runOne()
 {
     NVDC_ASSERT(!inRound_, "re-entrant run on a sharded system");
     deliverToShards();
-    Tick next = earliestWork();
+    const Tick next = scan(nullptr);
     if (next == kTickNever)
         return false;
     // A minimal window [next, next+1): shrinking a window below the

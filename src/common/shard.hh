@@ -8,8 +8,8 @@
  * memory channel; with media splitting each channel contributes two —
  * a DDR-side shard (iMC, bus, DRAM, NVMC controller + firmware) and a
  * media shard (FTL + Z-NAND) — joined by the same mailbox seam. Each
- * shard owns a private EventQueue; device shards execute on worker
- * threads while the host shard always runs on the coordinating thread.
+ * shard owns a private EventQueue, and every round runs on the
+ * calling thread.
  *
  * Correctness rests on a classic conservative-lookahead argument.
  * Every cross-shard interaction goes through a mailbox message stamped
@@ -21,21 +21,22 @@
  * latency — so the coordinator derives *per-pair* lookahead instead of
  * one global minimum. Time advances in rounds:
  *
- *   1. deliver pending messages into the shard queues as sorted
- *      batches (their stamps are never below the shard clocks),
- *   2. pick the window end E = min over every link (s -> d) of
+ *   1. deliver pending messages into the shard queues (a sorted batch
+ *      per shard; their stamps are never below the shard clocks),
+ *   2. in one pass over the shards, find the earliest runnable tick
+ *      and the window end E = min over every link (s -> d) of
  *      max(peek(s) + L(s,d), promise(s,d)); a shard with no runnable
  *      event cannot emit anything this round and contributes nothing,
- *   3. run every device shard's window [clock, E) in parallel; shard
+ *   3. run every device shard's window [clock, E) in shard order (a
+ *      shard with no event before E only has its clock moved); shard
  *      code never calls across the seam, it appends messages (to the
  *      host or a peer shard) to its outbox,
- *   4. barrier, then route the outboxes in shard order: host-bound
- *      messages merge deterministically — (tick, shard, post order) —
- *      into the host queue as one batch; peer-bound messages queue for
- *      the next round's delivery,
- *   5. run the host window [clock, E) on the coordinating thread; host
- *      calls into a port post messages stamped now+L >= E, so nothing
- *      can land in a shard's past.
+ *   4. route the outboxes in shard order: host-bound messages merge
+ *      deterministically — (tick, shard, post order) — into the host
+ *      queue; peer-bound messages queue for the next round's delivery,
+ *   5. run the host window [clock, E); host calls into a port post
+ *      messages stamped now+L >= E, so nothing can land in a shard's
+ *      past.
  *
  * Adaptive lookahead (the promise term in step 2) is null-message
  * style: a link may register a promise function returning a lower
@@ -43,36 +44,26 @@
  * kTickNever when the owning port can prove it has nothing in flight
  * (no posted-but-unacknowledged ops), which lets the neighbours run
  * ahead past the static quantum. Promises are queried only between
- * rounds, on the coordinating thread, from state the barrier already
- * synchronized; the runtime conservative checker (below) still
- * verifies every actual message against the window it was posted in,
- * so an unsound promise trips an assertion instead of corrupting time.
+ * rounds; the runtime conservative checker (below) still verifies
+ * every actual message against the window it was posted in, so an
+ * unsound promise trips an assertion instead of corrupting time.
  *
- * Because the per-window schedule, the mailbox merge order, and every
- * message stamp are independent of how shards map onto OS threads,
- * results are byte-identical for every executor count >= 1 — an
- * executors=1 run executes the same windows inline with zero atomics,
- * which is what `--verify` diffs against. Windows with no runnable
- * event anywhere are skipped in one jump, so idle simulated time is
- * free, as in the serial kernel.
+ * The per-window schedule, the mailbox merge order and every message
+ * stamp depend only on the machine, never on `SystemConfig::threads`
+ * beyond selecting this model (threads >= 1). Windows with no
+ * runnable event anywhere are skipped in one jump, so idle simulated
+ * time is free, as in the serial kernel.
  *
- * The mailboxes are single-producer/single-consumer by construction:
- * deliveries are built by the coordinating thread between rounds and
- * drained before the next device phase; each outbox is filled only by
- * whichever worker runs that shard's window and drained after the
- * barrier. The barrier's release/acquire pair is the only
- * synchronization the payloads (and the promise inputs) need.
+ * Rounds run inline on purpose: each ~200 ns round carries only a
+ * handful of events, too few for a cross-thread barrier to pay
+ * (DESIGN.md §6d).
  */
 
 #ifndef NVDIMMC_COMMON_SHARD_HH
 #define NVDIMMC_COMMON_SHARD_HH
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -83,9 +74,7 @@ namespace nvdimmc
 
 /**
  * Barrier-quantum scheduler over one host EventQueue and N device
- * shard EventQueues. Owns the worker pool (executors-1 threads,
- * started lazily on the first parallel window); shard i runs on
- * executor i % executors, executor 0 being the coordinating thread.
+ * shard EventQueues, executing every round on the calling thread.
  */
 class ShardCoordinator
 {
@@ -94,7 +83,7 @@ class ShardCoordinator
     /** Returns a lower bound on the stamp of the next message to
      *  cross the owning link (kTickNever = provably nothing in
      *  flight; 0 = no promise beyond the static bound). Queried
-     *  between rounds on the coordinating thread only. */
+     *  between rounds only. */
     using Promise = std::function<Tick()>;
     /** Link destination naming the host shard. */
     static constexpr std::int32_t kToHost = -1;
@@ -110,26 +99,25 @@ class ShardCoordinator
      *                 must guarantee every message crossing a link is
      *                 stamped at least that link's latency ahead of
      *                 the posting shard's clock.
-     * @param executors total executing threads (>= 1); clamped to the
-     *                 shard count.
      */
     ShardCoordinator(EventQueue& host, std::vector<EventQueue*> shards,
-                     Tick quantum, unsigned executors);
-    ~ShardCoordinator();
+                     Tick quantum);
     ShardCoordinator(const ShardCoordinator&) = delete;
     ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
     Tick quantum() const { return quantum_; }
-    unsigned executors() const { return executors_; }
+    /** Executing threads: always 1 (rounds run inline). */
+    unsigned executors() const { return 1; }
     std::uint32_t shardCount() const
     {
         return static_cast<std::uint32_t>(shards_.size());
     }
-    /** Sync windows executed so far (identical across executor
-     *  counts; idle jumps do not count). */
+    /** Sync windows executed so far (idle jumps do not count). */
     std::uint64_t windows() const { return windows_; }
     /** Events fired on the host and every shard combined. */
     std::uint64_t totalEventsFired() const;
+    /** Callback SBO overflows on the host and every shard combined. */
+    std::uint64_t totalSboOverflows() const;
     /** Is a sync window currently executing? Ports use this to route
      *  pre/post-run calls (preconditioning, post-mortem dumps)
      *  directly instead of through a mailbox nobody will drain. */
@@ -157,16 +145,16 @@ class ShardCoordinator
 
     /**
      * Post @p fn to run on the host queue at tick @p when. Device
-     * phase only, called by the worker executing @p shard's window;
-     * delivery happens after the barrier, merged deterministically.
+     * phase only, from code running in @p shard's window; delivered
+     * after every shard's window, merged deterministically.
      */
     void postToHost(std::uint32_t shard, Tick when, Fn fn);
 
     /**
      * Post @p fn to run on peer shard @p to's queue at tick @p when.
-     * Device phase only, called by the worker executing shard
-     * @p from's window (the firmware <-> media seam); routed after the
-     * barrier and delivered before the next round.
+     * Device phase only, from code running in shard @p from's window
+     * (the firmware <-> media seam); routed after the device phase
+     * and delivered before the next round.
      */
     void postToPeer(std::uint32_t from, std::uint32_t to, Tick when,
                     Fn fn);
@@ -191,13 +179,6 @@ class ShardCoordinator
         Fn fn;
     };
 
-    /** A shard's outgoing messages for the current round; padded so
-     *  producers on different workers never share a cache line. */
-    struct alignas(64) Outbox
-    {
-        std::vector<Msg> msgs;
-    };
-
     /** One outgoing link and its conservative bound. */
     struct Link
     {
@@ -206,53 +187,44 @@ class ShardCoordinator
         Promise promise;
     };
 
-    struct alignas(64) WorkerSlot
-    {
-        std::atomic<std::uint64_t> go{0};
-        std::atomic<std::uint64_t> done{0};
-    };
-
     void deliverToShards();
-    Tick earliestWork();
-    /** Window end bound: min over links of the earliest stamp the
-     *  source shard could emit across it (kTickNever if no shard can
-     *  emit at all). */
-    Tick windowBound();
+    /**
+     * One pass over the host and every shard: caches each shard's
+     * next event tick in peek_ and returns the earliest runnable tick
+     * anywhere (kTickNever if none). With @p bound set, also stores
+     * the window end bound there: min over links of the earliest
+     * stamp the source shard could emit across it (kTickNever if no
+     * shard can emit at all).
+     */
+    Tick scan(Tick* bound);
     /** Advance every clock to @p t; no shard may hold an event
      *  before it. */
     void advanceAll(Tick t);
     /** Execute one window ending at @p end across all shards, then
-     *  the host. */
+     *  the host. Needs peek_ from a scan() since the last delivery. */
     void round(Tick end);
-    void runShardRange(unsigned executor, Tick end);
-    void workerLoop(unsigned executor);
-    void startWorkers();
-    void rethrowShardError();
+    /** Admit a sorted-by-tick mailbox into @p q. */
+    static void admit(EventQueue& q,
+                      std::vector<EventQueue::TimedCallback>& box);
 
     EventQueue& host_;
     std::vector<EventQueue*> shards_;
     const Tick quantum_;
-    const unsigned executors_;
 
-    std::vector<Outbox> outbox_; ///< Shard i -> host/peers, this round.
-    /** Pending deliveries into shard i (built on the coordinating
-     *  thread: host posts during its window, routed peer messages
-     *  after each barrier); sorted + batch-scheduled next round. */
+    std::vector<std::vector<Msg>> outbox_; ///< Shard i -> host/peers.
+    /** Pending deliveries into shard i (host posts during its window,
+     *  routed peer messages after each device phase); admitted at the
+     *  top of the next round. */
     std::vector<std::vector<EventQueue::TimedCallback>> pending_;
     std::vector<EventQueue::TimedCallback> merge_; ///< Merge scratch.
+    std::vector<Tick> peek_; ///< Next event tick per shard (scan()).
 
     std::vector<std::vector<Link>> links_; ///< Per-shard outgoing.
     std::vector<bool> defaultLinks_; ///< links_[s] still the default?
 
     bool inRound_ = false;
+    Tick windowEnd_ = 0; ///< End of the in-flight window.
     std::uint64_t windows_ = 0;
-
-    std::vector<std::thread> workers_;
-    std::vector<std::unique_ptr<WorkerSlot>> slots_;
-    std::vector<std::exception_ptr> errors_;
-    std::atomic<Tick> windowEnd_{0};
-    std::atomic<bool> quit_{false};
-    std::uint64_t roundId_ = 0;
 };
 
 } // namespace nvdimmc

@@ -124,11 +124,11 @@ struct ClassAgg
 
 struct Registry
 {
-    /** Serializes marks: channel shards stamp device-side phases
-     *  concurrently in a parallel-in-time run. Same-span marks are
-     *  causally ordered by the barrier quantum, and open/close both
-     *  run on the host shard, so aggregation order is deterministic
-     *  for every executor count. */
+    /** Serializes access: the registry is process-global and
+     *  sweep_runner --jobs runs simulations on concurrent threads.
+     *  Same-span marks are causally ordered by the sync quantum, and
+     *  open/close both run on the host shard, so aggregation order is
+     *  deterministic for every --threads value. */
     std::mutex mu;
     std::unordered_map<Id, SpanState> open;
     std::vector<std::uint64_t> channelSeq;

@@ -22,12 +22,13 @@
  *
  * Span IDs are deterministic: (channel << 48) | per-channel sequence,
  * allocated at host-op issue on the host shard, whose event order is
- * identical for every executor count (the PR 4 byte-identity
- * guarantee). Closes also run on the host shard, so aggregation order
- * — and thus every exported table/JSON byte — is identical across
- * --threads=N. Cross-shard phase marks on one span are causally
- * ordered by the conservative barrier quantum, so the mutex-guarded
- * per-span state sees them in a deterministic order too.
+ * fixed by the config (the byte-identity guarantee). Closes also run
+ * on the host shard, so aggregation order — and thus every exported
+ * table/JSON byte — is identical across --threads=N. Cross-shard
+ * phase marks on one span are causally ordered by the conservative
+ * sync quantum, so the per-span state sees them in a deterministic
+ * order too. The registry is process-global and mutex-guarded, since
+ * sweep_runner --jobs runs simulations on concurrent threads.
  *
  * Like the tracer, the layer is zero-overhead-off: open() pays one
  * predicted-not-taken branch and returns id 0, and every other call
@@ -229,7 +230,7 @@ std::uint64_t closedCount();
  * The telemetry Collector calls this once per sampling interval —
  * the windowed-percentile (SLO) substrate. Closes run on the host
  * shard in deterministic order, so consecutive drains at fixed
- * sample ticks see identical windows for every executor count.
+ * sample ticks see identical windows for every --threads value.
  */
 void drainWindow(std::array<Histogram, kClassCount>& hist,
                  std::array<std::uint64_t, kClassCount>& sumPs);
@@ -248,7 +249,7 @@ void writeBreakdownTable(std::ostream& os, const std::string& title);
 /**
  * One JSON object: {"audit": {...}, "classes": {...}} with exact
  * integer fields only (counts and picosecond sums/percentiles), so
- * two deterministic runs — any executor count — produce byte-equal
+ * two deterministic runs — any --threads >= 1 — produce byte-equal
  * output. No trailing newline.
  */
 void writeBreakdownJson(std::ostream& os);

@@ -28,10 +28,9 @@
  *     so stats with telemetry on are byte-identical to telemetry off.
  *  2. *Telemetry output is byte-identical across `--threads` >= 1.*
  *     The sampler lives on the host queue. In sharded mode the host
- *     phase of each round runs single-threaded *after* the device
- *     shards complete the same window [clock, E) behind a barrier, and
- *     the window schedule depends only on the config — never on the
- *     executor count — so a sample at tick T always observes device
+ *     phase of each round runs *after* the device shards complete the
+ *     same window [clock, E), and the window schedule depends only on
+ *     the config, so a sample at tick T always observes device
  *     state at the same window edge. Probes are sampled in
  *     registration order and registration order is config-derived.
  *     (The serial kernel, --threads=0, observes at exactly T instead
@@ -170,8 +169,8 @@ class Collector
     /**
      * Export the series as JSONL: a `_meta` header line (schema
      * version, interval, probe list), then one line per interval with
-     * exact-integer values only. Byte-identical across executor
-     * counts for a sharded system (determinism contract above).
+     * exact-integer values only. Byte-identical for every
+     * --threads >= 1 (determinism contract above).
      * @param label stamped into every line as "bench".
      */
     void writeJsonl(std::ostream& os, const std::string& label) const;

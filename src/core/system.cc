@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <string>
-#include <thread>
 
 #include "backend/nvdimmc_backend.hh"
 #include "common/logging.hh"
@@ -133,18 +132,11 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
                   "bound ", bound,
                   " — a mailbox message could land in a shard's past");
         }
-        unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        unsigned executors =
-            std::min({static_cast<unsigned>(cfg_.threads),
-                      static_cast<unsigned>(nshards), hw});
-
         std::vector<EventQueue*> qs;
         qs.reserve(shardQueues_.size());
         for (auto& q : shardQueues_)
             qs.push_back(q.get());
-        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum,
-                                                    executors);
+        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum);
         eq_.setCoordinator(coord_.get());
         // The host port only routes to the DDR-side shards; a split
         // channel's media shard is reachable solely through its
@@ -192,9 +184,8 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
 void
 NvdimmcSystem::registerTelemetry(telemetry::Collector& t)
 {
-    // Sampled on the host queue in registration order; registration
-    // order depends only on the config, never the executor count
-    // (the byte-identity contract, DESIGN §9).
+    // Sampled on the host queue in registration order, which depends
+    // only on the config (the byte-identity contract, DESIGN §9).
     driver::NvdcDriver* drv = driver_.get();
     t.addGauge("nvdc.miss_queue_depth", [drv] {
         return static_cast<std::uint64_t>(drv->pendingFillCount());
@@ -329,6 +320,20 @@ NvdimmcSystem::precondition(std::uint64_t first_page,
                     "preconditioning more pages than free slots");
     }
 
+    // Size the directories for exactly the pages going in, so the
+    // inserts below never rehash.
+    pt.reserve(pt.mappedCount() + pages);
+    for (std::uint32_t c = 0; c < channels_.size(); ++c) {
+        auto& cache = driver_->cache(c);
+        cache.reserve(cache.usedSlots() + demand[c]);
+    }
+
+    // Metadata lines (4 slots each) touched, per channel.
+    std::vector<std::vector<bool>> touched(channels_.size());
+    for (std::uint32_t c = 0; c < channels_.size(); ++c)
+        touched[c].assign((driver_->cache(c).slotCount() + 3) / 4,
+                          false);
+
     for (std::uint32_t i = 0; i < pages; ++i) {
         std::uint64_t dev_page = first_page + i;
         std::uint32_t c = driver_->channelOf(dev_page);
@@ -338,27 +343,36 @@ NvdimmcSystem::precondition(std::uint64_t first_page,
         if (dirty)
             cache.markDirty(slot);
         pt.map(dev_page, slot);
+        touched[c][slot / 4] = true;
+    }
 
-        // Keep the in-DRAM metadata consistent (the firmware's
-        // power-fail dump reads it from the array).
+    // Keep the in-DRAM metadata consistent (the firmware's power-fail
+    // dump reads it from the array): one write per touched line.
+    for (std::uint32_t c = 0; c < channels_.size(); ++c) {
+        const auto& cache = driver_->cache(c);
         Channel& chan = *channels_[c];
-        std::uint32_t first = (slot / 4) * 4;
-        Addr addr = chan.layout().metadataAddr(first);
-        std::array<std::uint8_t, 64> line{};
-        for (std::uint32_t j = 0; j < 4; ++j) {
-            std::uint32_t s = first + j;
-            if (s >= cache.slotCount())
-                break;
-            const auto& cs = cache.slot(s);
-            nvmc::SlotMetadata m;
-            // Module-local page, as the firmware's dump expects (it
-            // writes into its own module's backend).
-            m.nandPage = cs.devPage / channels_.size();
-            m.valid = cs.state != driver::CacheSlot::State::Free;
-            m.dirty = cs.dirty;
-            nvmc::encodeSlotMetadata(m, line.data() + j * 16);
+        for (std::uint32_t g = 0; g < touched[c].size(); ++g) {
+            if (!touched[c][g])
+                continue;
+            std::uint32_t first = g * 4;
+            std::array<std::uint8_t, 64> line{};
+            for (std::uint32_t j = 0; j < 4; ++j) {
+                std::uint32_t s = first + j;
+                if (s >= cache.slotCount())
+                    break;
+                const auto& cs = cache.slot(s);
+                nvmc::SlotMetadata m;
+                // Module-local page, as the firmware's dump expects
+                // (it writes into its own module's backend).
+                m.nandPage = cs.devPage / channels_.size();
+                m.valid = cs.state != driver::CacheSlot::State::Free;
+                m.dirty = cs.dirty;
+                nvmc::encodeSlotMetadata(m, line.data() + j * 16);
+            }
+            Addr addr = chan.layout().metadataAddr(first);
+            chan.dram().writeBurst(chan.map().decompose(addr),
+                                   line.data());
         }
-        chan.dram().writeBurst(chan.map().decompose(addr), line.data());
     }
 }
 
@@ -366,8 +380,8 @@ void
 NvdimmcSystem::registerStats(StatRegistry& reg) const
 {
     if (coord_) {
-        // Export metadata only (JSON "_meta"): text dumps must stay
-        // byte-identical across executor counts.
+        // Export metadata only (JSON "_meta"): the text dump stays
+        // byte-identical for every threads >= 1.
         const bool media_split = channels_[0]->mediaPort() != nullptr;
         reg.setMeta("threads", coord_->executors());
         reg.setMeta("shards",
@@ -657,18 +671,11 @@ BaselineSystem::BaselineSystem(const BaselineConfig& cfg) : cfg_(cfg)
                   "bound ", bound,
                   " — a mailbox message could land in a shard's past");
         }
-        unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        unsigned executors =
-            std::min({static_cast<unsigned>(cfg_.threads),
-                      static_cast<unsigned>(cfg_.channels), hw});
-
         std::vector<EventQueue*> qs;
         qs.reserve(shardQueues_.size());
         for (auto& q : shardQueues_)
             qs.push_back(q.get());
-        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum,
-                                                    executors);
+        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum);
         eq_.setCoordinator(coord_.get());
         hostPort_->enableSharding(*coord_, eq_, std::move(qs),
                                   cfg_.hostLinkLatency,
@@ -727,8 +734,8 @@ void
 BaselineSystem::registerStats(StatRegistry& reg) const
 {
     if (coord_) {
-        // Metadata only (JSON "_meta"): text dumps must stay
-        // byte-identical across executor counts.
+        // Metadata only (JSON "_meta"): the text dump stays
+        // byte-identical for every threads >= 1.
         reg.setMeta("threads", coord_->executors());
         reg.setMeta("shards",
                     static_cast<double>(coord_->shardCount()));

@@ -221,8 +221,8 @@ class BaselineSystem
     void run(Tick duration) { eq_.runFor(duration); }
 
     /** Register every statistic (same layout rules as the NVDIMM-C
-     *  system: text dumps stay byte-identical across executor
-     *  counts; threads land in JSON "_meta" only). */
+     *  system: text dumps stay byte-identical for every threads >= 1;
+     *  threads land in JSON "_meta" only). */
     void registerStats(StatRegistry& reg) const;
     void dumpStats(std::ostream& os) const;
     void dumpStatsJson(std::ostream& os) const;

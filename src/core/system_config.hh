@@ -65,9 +65,9 @@ struct SystemConfig
      * threads = 0 (default) keeps the classic single-queue serial
      * kernel, byte-identical to pre-shard builds. threads >= 1 runs
      * each channel as its own event shard under conservative quantum
-     * sync with min(threads, channels, cores) executor threads;
-     * results are byte-identical for every threads >= 1, so
-     * `--threads=N --verify` diffs against a threads=1 run. */
+     * sync, every round on the calling thread: the value only selects
+     * this model (with its host and media links), so every
+     * threads >= 1 is the same execution. */
     /** @{ */
     std::uint32_t threads = 0;
     /** Modeled host<->module routing latency: every host line/bulk

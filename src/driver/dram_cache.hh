@@ -64,6 +64,8 @@ class DramCache
         return slotCount_ - static_cast<std::uint32_t>(freeList_.size());
     }
     bool hasFree() const { return !freeList_.empty(); }
+    /** Pre-size the page->slot directory for @p n bound pages. */
+    void reserve(std::uint32_t n) { pageToSlot_.reserve(n); }
 
     /**
      * Look up @p dev_page; counts a hit/miss and (on hit) touches the

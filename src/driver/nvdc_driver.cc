@@ -66,8 +66,9 @@ void
 NvdcDriver::markEverWritten(std::uint64_t first_page,
                             std::uint64_t pages)
 {
-    for (std::uint64_t p = first_page; p < first_page + pages; ++p)
-        everWritten_[p] = true;
+    auto first = everWritten_.begin() +
+                 static_cast<std::ptrdiff_t>(first_page);
+    std::fill(first, first + static_cast<std::ptrdiff_t>(pages), true);
 }
 
 void

@@ -52,6 +52,9 @@ class PageTable
         unmaps_.inc();
     }
 
+    /** Pre-size for @p n mapped pages in total. */
+    void reserve(std::size_t n) { map_.reserve(n); }
+
     std::size_t mappedCount() const { return map_.size(); }
     std::uint64_t totalMaps() const { return maps_.value(); }
     std::uint64_t totalUnmaps() const { return unmaps_.value(); }

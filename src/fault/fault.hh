@@ -15,9 +15,8 @@
  *
  * Both hooks run inside the channel's media event context, whose event
  * order is deterministic at every `--threads` value, so a campaign's
- * fault sequence replays byte-identically regardless of executor
- * count. The injector's Rng state is checkpointable alongside the
- * device state (fault/checkpoint.hh).
+ * fault sequence replays byte-identically. The injector's Rng state
+ * is checkpointable alongside the device state (fault/checkpoint.hh).
  */
 
 #ifndef NVDIMMC_FAULT_FAULT_HH

@@ -10,7 +10,9 @@
 
 #include "common/logging.hh"
 
+#include <array>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -273,6 +275,61 @@ TEST(PowerScenario, SystemWithoutNvmcDumpsNothing)
     auto report =
         core::simulatePowerFailure(sys, core::PowerFailureScenario{});
     EXPECT_EQ(report.pagesDumped, 0u);
+}
+
+// --- Preconditioning keeps the in-DRAM slot metadata exact ---
+
+/** Every metadata line must decode to its four slots' state. */
+void
+expectMetadataMatchesSlots(core::NvdimmcSystem& sys)
+{
+    const std::uint32_t channels = sys.config().channels;
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const auto& cache = sys.driver().cache(c);
+        core::Channel& chan = sys.channel(c);
+        for (std::uint32_t first = 0; first < cache.slotCount();
+             first += 4) {
+            std::array<std::uint8_t, 64> line{};
+            chan.dram().readBurst(
+                chan.map().decompose(chan.layout().metadataAddr(first)),
+                line.data());
+            for (std::uint32_t j = 0;
+                 j < 4 && first + j < cache.slotCount(); ++j) {
+                const auto& cs = cache.slot(first + j);
+                nvmc::SlotMetadata m =
+                    nvmc::decodeSlotMetadata(line.data() + j * 16);
+                const bool valid =
+                    cs.state != driver::CacheSlot::State::Free;
+                SCOPED_TRACE("channel " + std::to_string(c) + " slot " +
+                             std::to_string(first + j));
+                EXPECT_EQ(m.valid, valid);
+                if (!valid)
+                    continue;
+                EXPECT_EQ(m.nandPage, cs.devPage / channels);
+                EXPECT_EQ(m.dirty, cs.dirty);
+            }
+        }
+    }
+}
+
+TEST(Precondition, MetadataLinesDecodeToTheirSlots)
+{
+    core::SystemConfig cfg = core::SystemConfig::scaledTest();
+    cfg.channels = 2;
+    core::NvdimmcSystem sys(cfg);
+    // 11 pages over 2 channels: 6 + 5 slots, so each channel's last
+    // touched line is partial.
+    sys.precondition(0, 11, /*dirty=*/false);
+    EXPECT_EQ(sys.driver().cache(0).usedSlots(), 6u);
+    EXPECT_EQ(sys.driver().cache(1).usedSlots(), 5u);
+    expectMetadataMatchesSlots(sys);
+    // A second call on the partly filled cache completes those lines
+    // and starts new ones, dirty this time.
+    sys.precondition(100, 7, /*dirty=*/true);
+    EXPECT_EQ(sys.driver().cache(0).usedSlots(), 10u);
+    EXPECT_EQ(sys.driver().cache(1).usedSlots(), 8u);
+    expectMetadataMatchesSlots(sys);
+    EXPECT_EQ(sys.driver().pageTable().mappedCount(), 18u);
 }
 
 // --- Timing presets as parameterized sweep ---

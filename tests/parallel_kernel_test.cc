@@ -9,11 +9,15 @@
  *  - the quantum properties the design promises: the auto-derived
  *    quantum never exceeds any cross-channel latency term, shrinking
  *    it never changes results, and growing it past the bound panics;
- *  - whole-system bit-exactness: a 4-channel fio run produces
- *    byte-identical stats (and trace files) for every --threads value;
+ *  - whole-system pins: one sharded point per (channels, media
+ *    split) checks the text-stats FNV-1a and the fired-event count
+ *    against values recorded before the executor pool was deleted,
+ *    so a change to the sharded model shows up across commits, not
+ *    only as a same-commit diff of a run with itself;
  *  - the shard-audit regressions: the tracer's global capture buffer
- *    is safe and canonical under concurrent recording, Rng instances
- *    share no hidden state, SimMutex wake order is schedule-free.
+ *    and span registry are canonical across runs and --threads
+ *    values, Rng instances share no hidden state, SimMutex wake order
+ *    is schedule-free.
  */
 
 #include <gtest/gtest.h>
@@ -207,19 +211,16 @@ struct CoordRig
     EventQueue s0, s1;
     ShardCoordinator coord;
 
-    explicit CoordRig(unsigned executors)
-        : coord(host, {&s0, &s1}, /*quantum=*/100, executors)
+    CoordRig() : coord(host, {&s0, &s1}, /*quantum=*/100)
     {
         host.setCoordinator(&coord);
     }
 };
 
-/** Channel->host messages must interleave as (tick, shard index,
- *  post order) no matter which worker ran which shard. */
-void
-mergeOrderRun(unsigned executors, std::vector<std::string>& order)
+TEST(ShardCoordinator, MergeOrderIsTickThenShardThenPostOrder)
 {
-    CoordRig rig(executors);
+    std::vector<std::string> order;
+    CoordRig rig;
     // Both shards post host messages for the *same* host ticks; shard
     // 1 schedules its generating events earlier in wall-clock terms
     // (lower shard tick) to tempt a naive merge into reordering.
@@ -235,23 +236,35 @@ mergeOrderRun(unsigned executors, std::vector<std::string>& order)
     EXPECT_EQ(rig.host.now(), Tick{1000});
     EXPECT_EQ(rig.s0.now(), Tick{1000});
     EXPECT_EQ(rig.s1.now(), Tick{1000});
-}
-
-TEST(ShardCoordinator, MergeOrderIsTickThenShardThenPostOrder)
-{
-    std::vector<std::string> serial, parallel;
-    mergeOrderRun(1, serial);
-    mergeOrderRun(2, parallel);
     // Tick 200 first; within a tick shard 0 before shard 1; within a
     // shard, post order.
-    EXPECT_EQ(serial, (std::vector<std::string>{"s0b", "s1b", "s0a",
-                                                "s1a"}));
-    EXPECT_EQ(parallel, serial);
+    EXPECT_EQ(order, (std::vector<std::string>{"s0b", "s1b", "s0a",
+                                               "s1a"}));
+    EXPECT_EQ(rig.coord.executors(), 1u);
+}
+
+TEST(ShardCoordinator, IdleShardsStillAdvanceTheirClocks)
+{
+    // Shards with nothing to run in a window are skipped, but every
+    // clock must still end exactly where a full window would leave it
+    // (end-of-run clocks feed time-normalised stats).
+    CoordRig rig;
+    std::vector<Tick> fired;
+    rig.s0.schedule(Tick{10}, [&] { fired.push_back(rig.s0.now()); });
+    rig.s0.schedule(Tick{30}, [&] { fired.push_back(rig.s0.now()); });
+    EXPECT_TRUE(rig.host.runOne());
+    EXPECT_EQ(rig.s0.now(), Tick{11});
+    EXPECT_EQ(rig.s1.now(), Tick{11});
+    EXPECT_EQ(rig.host.now(), Tick{11});
+    EXPECT_EQ(rig.host.runAll(), 1u);
+    EXPECT_EQ(fired, (std::vector<Tick>{10, 30}));
+    EXPECT_EQ(rig.s1.now(), Tick{31});
+    EXPECT_EQ(rig.host.now(), Tick{31});
 }
 
 TEST(ShardCoordinator, HostToShardDeliveryAndIdleJump)
 {
-    CoordRig rig(2);
+    CoordRig rig;
     std::vector<Tick> fired;
     rig.coord.postToShard(0, Tick{1'000'000},
                           [&] { fired.push_back(rig.s0.now()); });
@@ -267,7 +280,7 @@ TEST(ShardCoordinator, HostToShardDeliveryAndIdleJump)
 
 TEST(ShardCoordinator, RuntimeCheckerTripsInsideWindow)
 {
-    CoordRig rig(1);
+    CoordRig rig;
     // A host event that posts a cross-shard message *inside* the
     // current sync window models a latency path shorter than the
     // quantum — exactly what the conservative checker must catch.
@@ -279,7 +292,7 @@ TEST(ShardCoordinator, RuntimeCheckerTripsInsideWindow)
 
 TEST(ShardCoordinator, ShardExceptionPropagatesAndStaysRunnable)
 {
-    CoordRig rig(2);
+    CoordRig rig;
     rig.s0.schedule(Tick{10}, [] { panic("shard boom"); });
     EXPECT_THROW(rig.host.runUntil(500), PanicError);
     // The coordinator must be reusable after the throw (the error
@@ -296,7 +309,7 @@ TEST(ShardCoordinator, ShardExceptionPropagatesAndStaysRunnable)
 
 TEST(Lookahead, QuietPromiseCollapsesWindowsToOne)
 {
-    CoordRig rig(1);
+    CoordRig rig;
     // Shard 0 runs internal-only events spread far wider than the
     // quantum; its link honestly promises nothing is in flight.
     std::vector<Tick> fired;
@@ -314,7 +327,7 @@ TEST(Lookahead, QuietPromiseCollapsesWindowsToOne)
 TEST(Lookahead, StaticQuantumNeedsAWindowPerCluster)
 {
     // Control for the test above: same event pattern, no promise.
-    CoordRig rig(1);
+    CoordRig rig;
     std::vector<Tick> fired;
     for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
         rig.s0.schedule(t, [&, t] { fired.push_back(t); });
@@ -327,7 +340,7 @@ TEST(Lookahead, FinitePromiseRaisesTheBoundOnly)
 {
     // A promise of "nothing before tick 450" widens early windows but
     // never shrinks the static peek+latency bound (max, not replace).
-    CoordRig rig(1);
+    CoordRig rig;
     std::vector<Tick> fired;
     for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
         rig.s0.schedule(t, [&, t] { fired.push_back(t); });
@@ -346,7 +359,7 @@ TEST(Lookahead, UnsoundPromiseTripsTheCheckerMidWindow)
     // message anyway. The extended window must not silently corrupt
     // time: the conservative runtime checker catches the stamp landing
     // inside the in-flight window.
-    CoordRig rig(1);
+    CoordRig rig;
     rig.coord.setLink(0, ShardCoordinator::kToHost, 100,
                       [] { return kTickNever; });
     rig.s0.schedule(Tick{10}, [&] {
@@ -379,11 +392,23 @@ TEST(QuantumBound, NeverExceedsAnyLatencyTerm)
     }
 }
 
-/** One short sharded fio run; returns the full text stats dump. */
-std::string
+/** One short sharded fio run's outputs. */
+struct ShardedResult
+{
+    std::string text;        ///< FioResult line + full text stats dump.
+    std::uint64_t events = 0; ///< Events fired on every queue.
+};
+
+/**
+ * One short sharded fio run. Cached (default): 4 KB random writes over
+ * a preconditioned region, all hits. @p uncached: 4 KB random reads
+ * past a cache full of dirty pages, so every access pays a writeback
+ * and a Z-NAND cachefill through the media shards.
+ */
+ShardedResult
 shardedRun(std::uint32_t channels, std::uint32_t threads,
            Tick quantum_override = 0, const char* trace_path = nullptr,
-           bool media_shards = true)
+           bool media_shards = true, bool uncached = false)
 {
     core::SystemConfig cfg = core::SystemConfig::scaledTest();
     cfg.channels = channels;
@@ -392,20 +417,31 @@ shardedRun(std::uint32_t channels, std::uint32_t threads,
     cfg.mediaShards = media_shards;
     core::NvdimmcSystem sys(cfg);
     const std::uint32_t slots = sys.totalSlotCount();
-    const std::uint32_t pages = slots - 64 * channels;
-    sys.precondition(0, pages, true);
+
+    workload::FioConfig fio;
+    fio.blockSize = 4096;
+    fio.threads = 2;
+    fio.rampTime = 50 * kUs;
+    fio.seed = 42;
+    if (uncached) {
+        sys.precondition(0, slots, true);
+        const std::uint64_t pages = sys.driver().capacityBytes() / 4096;
+        sys.driver().markEverWritten(0, pages);
+        fio.pattern = workload::FioConfig::Pattern::RandRead;
+        fio.regionOffset = std::uint64_t{slots + 128 * channels} * 4096;
+        fio.regionBytes = sys.driver().capacityBytes() - fio.regionOffset;
+        fio.runTime = 1 * kMs;
+    } else {
+        const std::uint32_t pages = slots - 64 * channels;
+        sys.precondition(0, pages, true);
+        fio.pattern = workload::FioConfig::Pattern::RandWrite;
+        fio.regionBytes = std::uint64_t{pages} * 4096;
+        fio.runTime = 500 * kUs;
+    }
 
     if (trace_path)
         trace::start(trace_path);
 
-    workload::FioConfig fio;
-    fio.pattern = workload::FioConfig::Pattern::RandWrite;
-    fio.blockSize = 4096;
-    fio.threads = 2;
-    fio.regionBytes = std::uint64_t{pages} * 4096;
-    fio.rampTime = 50 * kUs;
-    fio.runTime = 500 * kUs;
-    fio.seed = 42;
     workload::AccessFn fn = [&sys](Addr off, std::uint32_t len,
                                    bool is_write,
                                    std::function<void()> done) {
@@ -426,42 +462,76 @@ shardedRun(std::uint32_t channels, std::uint32_t threads,
     os.precision(17);
     os << res.mbps << " " << res.kiops << " " << res.ops << "\n";
     sys.dumpStats(os);
-    return os.str();
+    return ShardedResult{os.str(), sys.coordinator()->totalEventsFired()};
+}
+
+std::uint64_t
+fnv1a64(const std::string& s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** A sharded run's output pinned by value. The values were recorded
+ *  with the executor-pool coordinator, whose runs at every executor
+ *  count were byte-identical; a deliberate model change re-records
+ *  them (print fnv1a64(text) and events from a failing run). */
+void
+expectPinned(const ShardedResult& r, std::uint64_t fnv,
+             std::uint64_t events)
+{
+    EXPECT_EQ(fnv1a64(r.text), fnv) << r.text;
+    EXPECT_EQ(r.events, events);
+    EXPECT_NE(r.text.find("cache."), std::string::npos);
+}
+
+// 4 channels, media split on, cached 4 KB writes.
+constexpr std::uint64_t kPin4chFnv = 0xe63a0bd9c2179789ull;
+constexpr std::uint64_t kPin4chEvents = 223461;
+
+TEST(ShardedPin, FourChannelCachedWrite)
+{
+    expectPinned(shardedRun(4, 1), kPin4chFnv, kPin4chEvents);
+}
+
+TEST(ShardedPin, MediaSplitUncachedRead)
+{
+    // 2 channels, media split on: the firmware <-> media seam carries
+    // every writeback and cachefill.
+    expectPinned(shardedRun(2, 1, 0, nullptr, true, /*uncached=*/true),
+                 0xe4a3bcdd2a00454bull, 28530);
 }
 
 TEST(ParallelDeterminism, ByteIdenticalAcrossThreadCounts)
 {
-    std::string t1 = shardedRun(4, 1);
-    std::string t2 = shardedRun(4, 2);
-    std::string t4 = shardedRun(4, 4);
-    EXPECT_EQ(t1, t2);
-    EXPECT_EQ(t1, t4);
-    EXPECT_NE(t1.find("cache.hits"), std::string::npos);
+    // Every threads >= 1 is the same execution: a threads=4 run
+    // matches the threads=1 pin.
+    expectPinned(shardedRun(4, 4), kPin4chFnv, kPin4chEvents);
 }
 
 TEST(ParallelDeterminism, SingleChannelSharded)
 {
-    EXPECT_EQ(shardedRun(1, 1), shardedRun(1, 4));
+    expectPinned(shardedRun(1, 1), 0x09ab422048c2d3beull, 225019);
 }
 
 TEST(ParallelDeterminism, MediaShardsWithThreadsBeyondChannels)
 {
-    // With the media split a 2-channel machine has 4 shards, so
-    // thread counts above the channel count are meaningful executor
-    // counts, not clamps. Results must stay byte-identical right
-    // through that regime (and past the shard count).
-    std::string t1 = shardedRun(2, 1);
-    EXPECT_EQ(t1, shardedRun(2, 3));
-    EXPECT_EQ(t1, shardedRun(2, 4));
-    EXPECT_EQ(t1, shardedRun(2, 8));
+    // With the media split a 2-channel machine has 4 shards; a thread
+    // count past both the channel and the shard count still selects
+    // the same machine.
+    expectPinned(shardedRun(2, 8), 0xfb7bb34cf90f5574ull, 223050);
 }
 
 TEST(ParallelDeterminism, MediaSplitOffIsStillDeterministic)
 {
     // The classic shard-per-channel topology stays available behind
-    // cfg.mediaShards and keeps its own determinism guarantee.
-    EXPECT_EQ(shardedRun(2, 1, 0, nullptr, false),
-              shardedRun(2, 4, 0, nullptr, false));
+    // cfg.mediaShards.
+    expectPinned(shardedRun(2, 1, 0, nullptr, false), 0xfb7bb34cf90f5574ull,
+                 223050);
 }
 
 TEST(QuantumShrink, NeverChangesResults)
@@ -470,9 +540,9 @@ TEST(QuantumShrink, NeverChangesResults)
     cfg.channels = 2;
     Tick bound = core::NvdimmcSystem::quantumBound(cfg);
     ASSERT_GE(bound, Tick{7});
-    std::string base = shardedRun(2, 2);
-    EXPECT_EQ(base, shardedRun(2, 2, bound / 3));
-    EXPECT_EQ(base, shardedRun(2, 2, bound / 7));
+    std::string base = shardedRun(2, 1).text;
+    EXPECT_EQ(base, shardedRun(2, 1, bound / 3).text);
+    EXPECT_EQ(base, shardedRun(2, 1, bound / 7).text);
 }
 
 TEST(QuantumGrow, PastBoundPanicsAtConstruction)
