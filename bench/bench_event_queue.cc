@@ -14,10 +14,9 @@
  *    (timeout guards, superseded wakeups).
  *  - intrusive_periodic: 64 owner-embedded events rescheduling
  *    themselves in place (iMC wakeups, controller steps).
- *  - mailbox_single / mailbox_batched: cross-shard mailbox delivery —
- *    a window's worth of pre-sorted messages admitted one heap push
- *    at a time vs as one staged batch (the coordinator's path), then
- *    drained interleaved with the queue's own churn.
+ *  - mailbox_single: cross-shard mailbox delivery — a window's worth
+ *    of messages admitted one schedule() at a time (the coordinator's
+ *    path), then drained interleaved with the queue's own churn.
  *  - shape_*: scheduler-shape probes, each one region of the space a
  *    kernel data structure can win or lose in — dense near-future
  *    (512 events at < 64-tick deltas), sparse far-future (16 events at
@@ -162,17 +161,20 @@ BM_IntrusivePeriodic(benchmark::State& state)
 }
 
 /**
- * Shared body for the mailbox-delivery pair: rounds of `kWindow`
- * cross-shard messages land on a queue that also runs its own
- * self-rescheduling churn (the shard's device events), mirroring what
- * ShardCoordinator::deliverToShards feeds a shard each round.
- * @p batched picks the admission path: per-message schedule() heap
- * pushes vs one scheduleBatch() staged lane.
+ * Mailbox delivery: rounds of `kWindow` cross-shard messages land on
+ * a queue that also runs its own self-rescheduling churn (the shard's
+ * device events), mirroring what ShardCoordinator::deliverToShards
+ * feeds a shard each round: one schedule() per message, in post
+ * order.
  */
 void
-runMailboxRounds(benchmark::State& state, bool batched,
-                 std::uint64_t events)
+runMailboxRounds(benchmark::State& state, std::uint64_t events)
 {
+    struct Msg
+    {
+        Tick when;
+        std::function<void()> fn;
+    };
     const std::uint64_t kWindow = 256; // Messages per round.
     std::uint64_t sbo = 0;
     for (auto _ : state) {
@@ -189,23 +191,17 @@ runMailboxRounds(benchmark::State& state, bool batched,
             };
             eq.scheduleAfter(1 + i, steps[i]);
         }
-        std::vector<EventQueue::TimedCallback> batch;
-        batch.reserve(kWindow);
+        std::vector<Msg> box;
+        box.reserve(kWindow);
         while (fired < events) {
-            // Build one round's sorted delivery (stamps >= now + 100,
-            // the link latency).
+            // Build one round's delivery (stamps >= now + 100, the
+            // link latency).
             Tick base = eq.now() + 100;
-            batch.clear();
             for (std::uint64_t i = 0; i < kWindow; ++i)
-                batch.push_back(EventQueue::TimedCallback{
-                    base + i / 4, [&] { ++fired; }, 0});
-            if (batched) {
-                eq.scheduleBatch(batch);
-            } else {
-                for (auto& it : batch)
-                    eq.schedule(it.when, std::move(it.fn));
-                batch.clear();
-            }
+                box.push_back(Msg{base + i / 4, [&] { ++fired; }});
+            for (Msg& m : box)
+                eq.schedule(m.when, std::move(m.fn));
+            box.clear();
             eq.runWindow(base + kWindow);
         }
         eq.runAll();
@@ -222,13 +218,7 @@ runMailboxRounds(benchmark::State& state, bool batched,
 void
 BM_MailboxSingle(benchmark::State& state)
 {
-    runMailboxRounds(state, /*batched=*/false, 1'000'000);
-}
-
-void
-BM_MailboxBatched(benchmark::State& state)
-{
-    runMailboxRounds(state, /*batched=*/true, 1'000'000);
+    runMailboxRounds(state, 1'000'000);
 }
 
 // ---------------------------------------------------------------------
@@ -491,7 +481,6 @@ BENCHMARK(BM_OneShotChurn4k)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IntrusivePeriodic)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MailboxSingle)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MailboxBatched)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeDenseNear)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeSparseFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeCancelHeavy)->Unit(benchmark::kMillisecond);

@@ -12,23 +12,22 @@
  *
  * The "parallel" sweep records the cost of the sharded parallel-in-time
  * kernel against the serial one (threads=0 vs threads=1) from 1 to 64
- * channels, plus the media split's own contribution; each point
- * exports the exact number of kernel events it fired, which CI gates
- * against BENCH_parallel.json.
+ * channels, plus an all-miss 4-channel point; each point exports the
+ * exact number of kernel events it fired, which CI gates against
+ * BENCH_parallel.json.
  *
- * The "latency" sweep proves the request-span latency breakdown is
- * deterministic: threads=1 and threads=N must export byte-identical
- * per-phase JSON, and the span auditor must pass on both runs.
+ * The "latency" sweep runs the request-span latency breakdown on the
+ * sharded kernel: the span auditor must pass, and --verify proves the
+ * per-phase JSON repeats run to run.
  *
- * The "telemetry" sweep proves the time-series telemetry export is
- * deterministic: the same machine and workload at --threads in
- * {1, 2, N} must export byte-identical telemetry JSONL (interval
- * ticks, exact-integer probe values, windowed SLO percentiles).
+ * The "telemetry" sweep does the same for the time-series telemetry
+ * export (interval ticks, exact-integer probe values, windowed SLO
+ * percentiles).
  *
  * The "backends" sweep runs the media-transport seam's contract:
- * per-backend (nvdimmc, cxl, pmem) byte-identity verify points across
- * --threads values, plus the fig8/fig11/mixedload head-to-head whose
- * JSON export is committed as BENCH_backends.json.
+ * per-backend (nvdimmc, cxl, pmem) sharded 2-channel points, plus the
+ * fig8/fig11/mixedload head-to-head whose JSON export is committed as
+ * BENCH_backends.json.
  *
  * The "users" sweep measures the simulator's own cost under the
  * multi-user load (detailed-memcpy mixedload, 50..4000 users): host
@@ -445,21 +444,19 @@ makeChannelsSweep()
 struct ShardedRun
 {
     workload::FioResult fio;
-    std::string stats; ///< dumpStats text (backend verify points).
     KernelCost cost;
     double wallMs = 0.0;
 };
 
 ShardedRun
 runShardedFio(std::uint32_t channels, std::uint32_t threads,
-              FioConfig::Pattern pattern, bool media_shards = true,
-              bool uncached = false, Tick run_time = 0)
+              FioConfig::Pattern pattern, bool uncached = false,
+              Tick run_time = 0)
 {
     auto t0 = std::chrono::steady_clock::now();
     auto tweak = [=](core::SystemConfig& c) {
         c.channels = channels;
         c.threads = threads;
-        c.mediaShards = media_shards;
     };
     auto sys =
         uncached ? makeUncachedSystem(tweak) : makeCachedSystem(tweak);
@@ -468,7 +465,7 @@ runShardedFio(std::uint32_t channels, std::uint32_t threads,
     cfg.blockSize = 4096;
     if (uncached) {
         // All-miss: every access pays a writeback + cachefill, so the
-        // FTL + Z-NAND shards carry real load.
+        // FTL + Z-NAND carry real load.
         auto [base, bytes] = uncachedRegion(*sys);
         cfg.regionOffset = base;
         cfg.regionBytes = bytes;
@@ -496,17 +493,15 @@ runShardedFio(std::uint32_t channels, std::uint32_t threads,
  *  simulated window for wide machines (0 = the default 25 ms). */
 PointResult
 runParallelMatrixPoint(std::uint32_t channels, std::uint32_t threads,
-                       bool media_shards = true,
                        bool uncached = false, Tick run_time = 0)
 {
     ShardedRun run =
         runShardedFio(channels, threads, FioConfig::Pattern::RandRead,
-                      media_shards, uncached, run_time);
+                      uncached, run_time);
     PointResult out = fioPoint(run.fio);
     out.metrics.emplace_back("channels",
                              static_cast<double>(channels));
     out.metrics.emplace_back("threads", static_cast<double>(threads));
-    out.metrics.emplace_back("media_shards", media_shards ? 1.0 : 0.0);
     appendKernelCost(out, run.cost);
     out.perf = {{"wall_run_ms", run.wallMs}};
     return out;
@@ -516,12 +511,14 @@ runParallelMatrixPoint(std::uint32_t channels, std::uint32_t threads,
  * The parallel-in-time kernel sweep (EXPERIMENTS.md): matrix/<N>ch_t0
  * vs matrix/<N>ch_t1 is the serial kernel against the sharded one on
  * the same load (a different modeled machine — the serial kernel has
- * no host or media link — so throughput differs slightly by design).
- * Every threads >= 1 is the same execution, so one sharded point per
- * (channels, media split) is all there is to measure. The 16–64
- * channel points run a shorter simulated window (the per-simulated-ms
- * event count grows with the channel count); the media/ pair isolates
- * the media split's cost on an all-miss 4-channel load.
+ * no host link — so throughput differs slightly by design). Every
+ * threads >= 1 is the same execution, so one sharded point per channel
+ * count is all there is to measure. The 16–64 channel points run a
+ * shorter simulated window (the per-simulated-ms event count grows
+ * with the channel count); media/4ch_uncached_off puts real load on
+ * the FTL + Z-NAND with an all-miss 4-channel run (its name predates
+ * the removal of the firmware <-> media shard split, which it ran
+ * without, and keeps the BENCH_parallel.json row comparable).
  */
 Sweep
 makeParallelSweep()
@@ -540,44 +537,31 @@ makeParallelSweep()
     for (std::uint32_t n : {16u, 32u, 64u}) {
         p.push_back({"matrix/" + std::to_string(n) + "ch_t1", [n] {
                          return runParallelMatrixPoint(
-                             n, 1, /*media_shards=*/true,
-                             /*uncached=*/false,
+                             n, 1, /*uncached=*/false,
                              /*run_time=*/4 * kMs);
                      }});
     }
-    for (bool on : {false, true}) {
-        p.push_back({std::string("media/4ch_uncached_") +
-                         (on ? "on" : "off"),
-                     [on] {
-                         return runParallelMatrixPoint(
-                             4, 1, /*media_shards=*/on,
-                             /*uncached=*/true);
-                     }});
-    }
+    p.push_back({"media/4ch_uncached_off", [] {
+                     return runParallelMatrixPoint(4, 1,
+                                                   /*uncached=*/true);
+                 }});
     return sweep;
 }
 
 /**
- * One latency-breakdown measurement: request spans on, a random 4 KB
- * FIO load on an N-channel machine with the given --threads value, and
- * the per-op-class per-phase JSON plus the span audit as the result.
+ * One latency-breakdown point: request spans on, a random 4 KB FIO
+ * load on an N-channel sharded machine, and the span auditor's verdict
+ * (every span closed, phases tile end-to-end, window waits bounded).
+ * SpanShardAudit pins the breakdown JSON's run-to-run byte identity.
  */
-struct BreakdownRun
-{
-    std::string json;
-    bool auditOk = false;
-    std::uint64_t spans = 0;
-};
-
-BreakdownRun
-runBreakdownFio(std::uint32_t channels, std::uint32_t threads,
-                bool uncached)
+PointResult
+runLatencyVerifyPoint(std::uint32_t channels, bool uncached)
 {
     span::enable();
     span::reset();
     auto tweak = [=](core::SystemConfig& c) {
         c.channels = channels;
-        c.threads = threads;
+        c.threads = 1;
     };
     std::unique_ptr<core::NvdimmcSystem> sys;
     FioConfig cfg;
@@ -600,44 +584,15 @@ runBreakdownFio(std::uint32_t channels, std::uint32_t threads,
     }
     runFio(sys->eq(), nvdcAccess(*sys), cfg);
 
-    BreakdownRun run;
     span::AuditResult audit = span::audit();
-    run.auditOk = audit.ok();
-    run.spans = audit.closed;
-    std::ostringstream os;
-    span::writeBreakdownJson(os);
-    run.json = os.str();
     span::reset();
     span::disable();
-    return run;
-}
-
-/**
- * Determinism proof for the breakdown export: the identical machine
- * and workload run with threads=1 and threads=N must produce
- * byte-identical latency-breakdown JSON (same spans, same phase
- * tick counts, same percentiles), and both runs must pass the span
- * auditor (every span closed, phases tile end-to-end, window waits
- * bounded).
- */
-PointResult
-runLatencyVerifyPoint(std::uint32_t channels, std::uint32_t threads,
-                      bool uncached)
-{
-    BreakdownRun ser = runBreakdownFio(channels, 1, uncached);
-    BreakdownRun par = runBreakdownFio(channels, threads, uncached);
-    const bool identical = ser.json == par.json;
     PointResult out;
     out.metrics = {
-        {"spans", static_cast<double>(par.spans)},
-        {"audit_ok", ser.auditOk && par.auditOk ? 1.0 : 0.0},
-        {"breakdown_identical", identical ? 1.0 : 0.0},
+        {"spans", static_cast<double>(audit.closed)},
+        {"audit_ok", audit.ok() ? 1.0 : 0.0},
     };
-    if (!identical)
-        out.error = "breakdown JSON diverged between threads=1 and "
-                    "threads=" +
-                    std::to_string(threads);
-    else if (!ser.auditOk || !par.auditOk)
+    if (!audit.ok())
         out.error = "span audit failed";
     return out;
 }
@@ -648,53 +603,54 @@ makeLatencySweep()
     Sweep sweep{"latency", {}, /*serialOnly=*/true};
     auto& p = sweep.points;
     p.push_back({"verify/1ch_cached", [] {
-        return runLatencyVerifyPoint(1, 2, false);
+        return runLatencyVerifyPoint(1, false);
     }});
     p.push_back({"verify/4ch_cached", [] {
-        return runLatencyVerifyPoint(4, 4, false);
+        return runLatencyVerifyPoint(4, false);
     }});
     p.push_back({"verify/1ch_uncached", [] {
-        return runLatencyVerifyPoint(1, 2, true);
+        return runLatencyVerifyPoint(1, true);
     }});
     return sweep;
 }
 
 /**
- * One telemetry measurement: the deterministic time-series layer on
- * (which implies span recording — the windowed SLO percentiles drain
- * the span layer), a workload, and the collector's full JSONL export
- * as the result. The export label is fixed per point, so runs that
- * differ only in --threads value must produce byte-identical strings.
+ * One telemetry point: the deterministic time-series layer on (which
+ * implies span recording — the windowed SLO percentiles drain the span
+ * layer) over a workload on the sharded machine, then the recorded
+ * interval count and the span auditor's verdict. Closes the layers
+ * the point opened.
  */
-struct TelemetryRun
+PointResult
+finishTelemetryPoint(core::NvdimmcSystem& sys)
 {
-    std::string jsonl;
-    std::uint64_t intervals = 0;
-    bool auditOk = false;
-};
-
-TelemetryRun
-finishTelemetryRun(core::NvdimmcSystem& sys, const char* label)
-{
-    TelemetryRun run;
-    run.auditOk = span::audit().ok();
-    std::ostringstream os;
-    sys.telemetryCollector()->writeJsonl(os, label);
-    run.jsonl = os.str();
-    run.intervals = sys.telemetryCollector()->records().size();
-    return run;
+    const std::uint64_t intervals =
+        sys.telemetryCollector()->records().size();
+    const bool audit_ok = span::audit().ok();
+    span::reset();
+    span::disable();
+    telemetry::disable();
+    PointResult out;
+    out.metrics = {
+        {"intervals", static_cast<double>(intervals)},
+        {"audit_ok", audit_ok ? 1.0 : 0.0},
+    };
+    if (!audit_ok)
+        out.error = "span audit failed";
+    else if (intervals == 0)
+        out.error = "telemetry recorded no intervals";
+    return out;
 }
 
-TelemetryRun
-runTelemetryFio(std::uint32_t channels, std::uint32_t threads,
-                bool uncached, const char* label)
+PointResult
+runTelemetryFioVerifyPoint(std::uint32_t channels, bool uncached)
 {
     telemetry::enable();
     span::enable();
     span::reset();
     auto tweak = [=](core::SystemConfig& c) {
         c.channels = channels;
-        c.threads = threads;
+        c.threads = 1;
     };
     std::unique_ptr<core::NvdimmcSystem> sys;
     FioConfig cfg;
@@ -716,24 +672,20 @@ runTelemetryFio(std::uint32_t channels, std::uint32_t threads,
         cfg.runTime = 25 * kMs;
     }
     runFio(sys->eq(), nvdcAccess(*sys), cfg);
-    TelemetryRun run = finishTelemetryRun(*sys, label);
-    span::reset();
-    span::disable();
-    telemetry::disable();
-    return run;
+    return finishTelemetryPoint(*sys);
 }
 
-TelemetryRun
-runTelemetryMixed(std::uint32_t threads, const char* label)
+PointResult
+runTelemetryMixedVerifyPoint()
 {
     telemetry::enable();
     span::enable();
     span::reset();
     // Validation requires real bytes end to end: detailed memcpy.
     auto sys = std::make_unique<core::NvdimmcSystem>(
-        benchSystemConfig([threads](core::SystemConfig& c) {
+        benchSystemConfig([](core::SystemConfig& c) {
             c.channels = 2;
-            c.threads = threads;
+            c.threads = 1;
             c.memcpy.bulkMode = false;
         }));
     workload::DataDevice dev;
@@ -753,62 +705,7 @@ runTelemetryMixed(std::uint32_t threads, const char* label)
     mc.recordBytes = 4096;
     mc.regionBytes = std::uint64_t{mc.users} * 32 * 4096;
     workload::runMixedLoad(sys->eq(), dev, mc);
-    TelemetryRun run = finishTelemetryRun(*sys, label);
-    span::reset();
-    span::disable();
-    telemetry::disable();
-    return run;
-}
-
-/**
- * Determinism proof for the telemetry export: the identical machine
- * and workload run at --threads in {1, 2, N} must produce
- * byte-identical telemetry JSONL (same interval ticks, same
- * exact-integer probe values, same windowed percentiles), and every
- * run must pass the span auditor. The sample event rides the host
- * queue, so it observes device state at the barrier-safe window edge
- * regardless of --threads value — this point is the enforcement.
- */
-PointResult
-telemetryVerdict(const TelemetryRun& t1, const TelemetryRun& t2,
-                 const TelemetryRun& tn, std::uint32_t n)
-{
-    const bool identical = t1.jsonl == t2.jsonl && t1.jsonl == tn.jsonl;
-    PointResult out;
-    out.metrics = {
-        {"intervals", static_cast<double>(t1.intervals)},
-        {"audit_ok",
-         t1.auditOk && t2.auditOk && tn.auditOk ? 1.0 : 0.0},
-        {"threads_identical", identical ? 1.0 : 0.0},
-    };
-    if (!identical)
-        out.error = "telemetry JSONL diverged across threads=1/2/" +
-                    std::to_string(n);
-    else if (!t1.auditOk || !t2.auditOk || !tn.auditOk)
-        out.error = "span audit failed";
-    else if (t1.intervals == 0)
-        out.error = "telemetry recorded no intervals";
-    return out;
-}
-
-PointResult
-runTelemetryFioVerifyPoint(std::uint32_t channels, bool uncached,
-                           const char* label)
-{
-    const std::uint32_t n = channels * 2; // full media-split vector
-    TelemetryRun t1 = runTelemetryFio(channels, 1, uncached, label);
-    TelemetryRun t2 = runTelemetryFio(channels, 2, uncached, label);
-    TelemetryRun tn = runTelemetryFio(channels, n, uncached, label);
-    return telemetryVerdict(t1, t2, tn, n);
-}
-
-PointResult
-runTelemetryMixedVerifyPoint(const char* label)
-{
-    TelemetryRun t1 = runTelemetryMixed(1, label);
-    TelemetryRun t2 = runTelemetryMixed(2, label);
-    TelemetryRun t4 = runTelemetryMixed(4, label);
-    return telemetryVerdict(t1, t2, t4, 4);
+    return finishTelemetryPoint(*sys);
 }
 
 Sweep
@@ -816,27 +713,21 @@ makeTelemetrySweep()
 {
     Sweep sweep{"telemetry", {}, /*serialOnly=*/true};
     auto& p = sweep.points;
-    p.push_back({"verify/1ch_cached", [] {
-        return runTelemetryFioVerifyPoint(1, false, "fig8/1ch_cached");
-    }});
-    p.push_back({"verify/4ch_cached", [] {
-        return runTelemetryFioVerifyPoint(4, false, "fig8/4ch_cached");
-    }});
-    p.push_back({"verify/1ch_uncached", [] {
-        return runTelemetryFioVerifyPoint(1, true,
-                                          "fig8/1ch_uncached");
-    }});
-    p.push_back({"verify/mixedload", [] {
-        return runTelemetryMixedVerifyPoint("mixedload/125users");
-    }});
+    p.push_back({"verify/1ch_cached",
+                 [] { return runTelemetryFioVerifyPoint(1, false); }});
+    p.push_back({"verify/4ch_cached",
+                 [] { return runTelemetryFioVerifyPoint(4, false); }});
+    p.push_back({"verify/1ch_uncached",
+                 [] { return runTelemetryFioVerifyPoint(1, true); }});
+    p.push_back({"verify/mixedload", runTelemetryMixedVerifyPoint});
     return sweep;
 }
 
 /**
- * One power-fail sweep point: cut at @p frac of the uncut run, replay
- * recovery, and prove the whole campaign byte-identical across
- * --threads values. Integrity (corrupt=0 with ADR) and determinism
- * both land in the verified metrics.
+ * One power-fail sweep point: cut the sharded machine at @p frac of
+ * the uncut run and replay recovery. Integrity (no live validation
+ * failure before the cut, corrupt=0 with ADR after it) lands in the
+ * verified metrics; --verify proves the campaign repeats.
  */
 PointResult
 runPowerFailPoint(double frac, bool adr)
@@ -847,24 +738,19 @@ runPowerFailPoint(double frac, bool adr)
     fault::PowerFailCampaignResult full = runPowerFailCampaign(cfg);
     cfg.haltAtTick = static_cast<Tick>(
         static_cast<double>(full.workloadElapsed) * frac);
-    cfg.threads = 1;
-    fault::PowerFailCampaignResult t1 = runPowerFailCampaign(cfg);
-    cfg.threads = 2;
-    fault::PowerFailCampaignResult t2 = runPowerFailCampaign(cfg);
-    bool identical = t1.fingerprint == t2.fingerprint;
+    fault::PowerFailCampaignResult cut = runPowerFailCampaign(cfg);
 
     PointResult out;
     out.metrics = {
-        {"committed", static_cast<double>(t1.committedRecords)},
-        {"corrupt", static_cast<double>(t1.corruptRecords)},
-        {"pages_dumped", static_cast<double>(t1.pagesDumped)},
-        {"wpq_lost", static_cast<double>(t1.wpqLost)},
-        {"recovery_us", ticksToUs(t1.recoveryTicks)},
-        {"threads_identical", identical ? 1.0 : 0.0},
+        {"committed", static_cast<double>(cut.committedRecords)},
+        {"corrupt", static_cast<double>(cut.corruptRecords)},
+        {"pages_dumped", static_cast<double>(cut.pagesDumped)},
+        {"wpq_lost", static_cast<double>(cut.wpqLost)},
+        {"recovery_us", ticksToUs(cut.recoveryTicks)},
     };
-    if (!identical)
-        out.error = "campaign diverged across --threads";
-    else if (adr && t1.corruptRecords != 0)
+    if (cut.liveValidationFailures != 0)
+        out.error = "live validation failed before the cut";
+    else if (adr && cut.corruptRecords != 0)
         out.error = "committed records corrupted despite ADR";
     return out;
 }
@@ -979,80 +865,43 @@ makeBackendDevice(backend::BackendKind kind, bool uncached)
 }
 
 /**
- * One measured run for a backend byte-identity point: a cached random
- * 4 KB FIO load on a 2-channel machine fronted by @p kind, built with
- * the given --threads value.
+ * One sharded point per backend: a cached random 4 KB FIO load on a
+ * 2-channel machine fronted by @p kind at threads=1, so every
+ * transport behind the MediaBackend seam runs on the sharded kernel
+ * (and --verify proves each repeats).
  */
-ShardedRun
-runBackendFio(backend::BackendKind kind, std::uint32_t channels,
-              std::uint32_t threads)
+PointResult
+runBackendShardedPoint(backend::BackendKind kind)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    ShardedRun run;
+    const std::uint32_t channels = 2;
+    workload::FioResult fio;
     FioConfig cfg;
     cfg.pattern = FioConfig::Pattern::RandRead;
     cfg.blockSize = 4096;
     cfg.threads = 8;
     cfg.rampTime = 2 * kMs;
     cfg.runTime = 25 * kMs;
-    std::ostringstream stats;
     if (kind == backend::BackendKind::Pmem) {
         auto sys = makePmemSystem([&](core::BaselineConfig& c) {
             c.channels = channels;
-            c.threads = threads;
+            c.threads = 1;
         });
         cfg.regionBytes = std::min<std::uint64_t>(
             sys->driver().capacityBytes(), 2 * kGiB);
-        run.fio = runFio(sys->eq(), pmemAccess(*sys), cfg);
-        sys->dumpStats(stats);
+        fio = runFio(sys->eq(), pmemAccess(*sys), cfg);
     } else {
         auto sys = makeCachedSystem([&](core::SystemConfig& c) {
             c.channels = channels;
-            c.threads = threads;
+            c.threads = 1;
             if (kind == backend::BackendKind::CxlHybrid)
                 c.applyCxlBackend();
         });
         cfg.regionBytes = cachedRegionBytes(*sys);
-        run.fio = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        sys->dumpStats(stats);
+        fio = runFio(sys->eq(), nvdcAccess(*sys), cfg);
     }
-    run.stats = stats.str();
-    run.wallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    return run;
-}
-
-/**
- * The per-backend byte-exactness proof: the same machine and workload
- * with threads=1 (reference) and threads=N must agree on every
- * FIO field and the full stats dump. Extends the sharded kernel's
- * verify contract to every transport behind the MediaBackend seam.
- */
-PointResult
-runBackendVerifyPoint(backend::BackendKind kind,
-                      std::uint32_t channels, std::uint32_t threads)
-{
-    ShardedRun ser = runBackendFio(kind, channels, 1);
-    ShardedRun par = runBackendFio(kind, channels, threads);
-    const bool ok = ser.fio.mbps == par.fio.mbps &&
-                    ser.fio.kiops == par.fio.kiops &&
-                    ser.fio.ops == par.fio.ops &&
-                    ser.fio.meanLatency == par.fio.meanLatency &&
-                    ser.fio.p50 == par.fio.p50 &&
-                    ser.fio.p99 == par.fio.p99 &&
-                    ser.stats == par.stats;
-    PointResult out = fioPoint(par.fio);
+    PointResult out = fioPoint(fio);
     out.metrics.emplace_back("channels",
                              static_cast<double>(channels));
-    out.metrics.emplace_back("threads", static_cast<double>(threads));
-    out.metrics.emplace_back("verify_ok", ok ? 1.0 : 0.0);
-    out.perf = {{"wall_serial_ms", ser.wallMs},
-                {"wall_parallel_ms", par.wallMs}};
-    if (!ok)
-        out.error = std::string(backend::toString(kind)) +
-                    " backend threads=" + std::to_string(threads) +
-                    " diverged from threads=1";
     return out;
 }
 
@@ -1274,12 +1123,11 @@ runBackendMixedloadPoint(backend::BackendKind kind)
 }
 
 /**
- * The backends sweep (the MediaBackend seam's verify + head-to-head
- * contract): per backend, byte-identity points at --threads in
- * {1, N, 2N} on a 2-channel machine (each point runs threads=1 as
- * the in-point reference), then the fig8/fig11/mixedload comparison
- * whose JSON export is committed as BENCH_backends.json. serialOnly:
- * the fig8 points use the process-global span recorder.
+ * The backends sweep (the MediaBackend seam's sharded run +
+ * head-to-head contract): per backend, one sharded 2-channel point,
+ * then the fig8/fig11/mixedload comparison whose JSON export is
+ * committed as BENCH_backends.json. serialOnly: the fig8 points use
+ * the process-global span recorder.
  */
 Sweep
 makeBackendsSweep()
@@ -1290,12 +1138,8 @@ makeBackendsSweep()
                       backend::BackendKind::CxlHybrid,
                       backend::BackendKind::Pmem}) {
         const std::string tag = backend::toString(kind);
-        for (std::uint32_t t : {2u, 4u}) {
-            p.push_back({tag + "/verify/2ch_t" + std::to_string(t),
-                         [kind, t] {
-                             return runBackendVerifyPoint(kind, 2, t);
-                         }});
-        }
+        p.push_back({tag + "/sharded/2ch",
+                     [kind] { return runBackendShardedPoint(kind); }});
         p.push_back({tag + "/fig8/cached", [kind] {
             return runBackendFig8Point(kind, false);
         }});

@@ -25,15 +25,6 @@
  *    hot-path regression is visible). The returned EventId is usable
  *    with cancel()/isPending().
  *
- *  - Staged batches. scheduleBatch(sorted vector) admits a whole
- *    pre-sorted train of never-cancelled one-shots — the sharded
- *    kernel's per-window mailbox deliveries — without touching the
- *    heap at all: the batch keeps its vector, a cursor walks it, and
- *    the dispatcher merges batch heads against the heap top. Per
- *    message that is O(1) amortized, and the batch buffers recycle
- *    through a free list so steady state allocates nothing
- *    (bench_event_queue BM_Mailbox* measures the difference).
- *
  * Pending events live in one d-ary min-heap of {when, seq, Event*}
  * entries ordered by (tick, seq). The simulator keeps only a handful
  * of events live at a time (a mean of 2-11 on the measured workloads)
@@ -42,7 +33,7 @@
  * few cache lines, and the minimum is always the top (see DESIGN.md
  * §6e for the measured traffic that retired the timing wheel).
  *
- * All kinds share one sequence counter and (tick, seq) is a strict
+ * Both kinds share one sequence counter and (tick, seq) is a strict
  * total order, so every dispatch order is exact and independent of
  * the heap's internal layout.
  *
@@ -230,31 +221,6 @@ class EventQueue
      */
     void cancel(EventId id);
 
-    /** @} */
-
-    /** @name Staged batch API */
-    /** @{ */
-
-    /** One element of a staged batch. */
-    struct TimedCallback
-    {
-        Tick when = 0;
-        Callback fn;
-        /** Assigned by scheduleBatch; callers leave it alone. */
-        std::uint64_t seq = 0;
-    };
-
-    /**
-     * Admit a whole batch of one-shot callbacks in a single call.
-     * @p batch must be sorted by tick (stable for ties) with every
-     * stamp >= now(); the elements keep exact FIFO order against
-     * events scheduled later. The batch cannot be cancelled. The
-     * vector's storage is taken over and a recycled empty buffer is
-     * swapped back, so a caller delivering every window reuses
-     * capacity and never allocates in steady state.
-     */
-    void scheduleBatch(std::vector<TimedCallback>& batch);
-
     /** @return true iff @p id is scheduled and not yet fired/cancelled. */
     bool isPending(EventId id) const { return lookupCallback(id) != nullptr; }
 
@@ -333,8 +299,7 @@ class EventQueue
     std::uint64_t sboOverflows() const { return sboOverflows_; }
 
     /** Heap entries currently held, live or dead (a cost probe for
-     *  the lazy-deletion bound, not a stat: dumps never include it).
-     *  Staged batches are not counted. */
+     *  the lazy-deletion bound, not a stat: dumps never include it). */
     std::size_t residentEntries() const { return heap_.size(); }
 
   private:
@@ -472,34 +437,14 @@ class EventQueue
     void fireTop();
 
     /**
-     * Fire the earliest event (heap or staged lane) if its tick is
-     * within @p limit — inclusive when @p strict is false (runUntil),
-     * exclusive when true (runWindow). @return whether one fired.
+     * Fire the earliest event if its tick is within @p limit —
+     * inclusive when @p strict is false (runUntil), exclusive when
+     * true (runWindow). @return whether one fired.
      */
     bool fireNextBound(Tick limit, bool strict);
 
     /** fireNextBound with no bound: fire the earliest event, if any. */
     bool fireNext() { return fireNextBound(kTickNever, false); }
-
-    /** One staged batch mid-consumption. */
-    struct Stage
-    {
-        std::vector<TimedCallback> items;
-        std::size_t cursor = 0;
-    };
-
-    /** Index into stages_ of the earliest (when, seq) head, or
-     *  stages_.size() if none (drained stages are skipped). */
-    std::size_t bestStage() const;
-
-    /** Fire the head of stages_[si] in place. Drained stages are
-     *  recycled once no staged callable is on the stack, so a
-     *  callback that re-enters the dispatcher can never destroy the
-     *  callable it is running from. */
-    void fireStaged(std::size_t si);
-
-    /** Recycle every drained stage (stagedDepth_ must be 0). */
-    void collectStages();
 
     /** @} */
 
@@ -590,15 +535,6 @@ class EventQueue
 
     std::vector<std::unique_ptr<CallbackEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;
-    /** Staged batches being consumed (usually 0 or 1; linear scans
-     *  beat anything fancier at that size). */
-    std::vector<Stage> stages_;
-    /** Drained batch buffers awaiting reuse. */
-    std::vector<std::vector<TimedCallback>> freeStageBufs_;
-    /** Staged callables currently executing (re-entrancy depth). */
-    std::uint32_t stagedDepth_ = 0;
-    /** Some stage drained and awaits collectStages(). */
-    bool stagedDone_ = false;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;

@@ -26,18 +26,14 @@ ShardCoordinator::ShardCoordinator(EventQueue& host,
     : host_(host),
       shards_(std::move(shards)),
       quantum_(quantum),
-      outbox_(shards_.size()),
       pending_(shards_.size()),
       peek_(shards_.size(), kTickNever),
-      links_(shards_.size()),
-      defaultLinks_(shards_.size(), true)
+      promises_(shards_.size())
 {
     NVDC_ASSERT(!shards_.empty(), "sharded system needs >= 1 shard");
     NVDC_ASSERT(quantum_ > 0, "sync quantum must be positive");
     for (EventQueue* s : shards_)
         NVDC_ASSERT(s && s != &host_, "bad shard queue");
-    for (auto& ls : links_)
-        ls.push_back(Link{kToHost, quantum_, {}});
 }
 
 std::uint64_t
@@ -59,33 +55,10 @@ ShardCoordinator::totalSboOverflows() const
 }
 
 void
-ShardCoordinator::setLink(std::uint32_t src, std::int32_t dest,
-                          Tick latency, Promise promise)
+ShardCoordinator::setPromise(std::uint32_t shard, Promise promise)
 {
-    NVDC_ASSERT(src < shardCount(), "setLink: bad source shard");
-    NVDC_ASSERT(dest == kToHost ||
-                    (dest >= 0 &&
-                     static_cast<std::uint32_t>(dest) < shardCount() &&
-                     static_cast<std::uint32_t>(dest) != src),
-                "setLink: bad destination");
-    NVDC_ASSERT(latency > 0, "link latency must be positive (it is "
-                             "the cross-shard lookahead)");
-    auto& ls = links_[src];
-    if (defaultLinks_[src]) {
-        // The first explicit link supersedes the default quantum link:
-        // a fully-described shard only constrains the window through
-        // the links it really has.
-        ls.clear();
-        defaultLinks_[src] = false;
-    }
-    for (Link& l : ls) {
-        if (l.dest == dest) {
-            l.latency = latency;
-            l.promise = std::move(promise);
-            return;
-        }
-    }
-    ls.push_back(Link{dest, latency, std::move(promise)});
+    NVDC_ASSERT(shard < shardCount(), "setPromise: bad shard index");
+    promises_[shard] = std::move(promise);
 }
 
 void
@@ -101,8 +74,7 @@ ShardCoordinator::postToShard(std::uint32_t shard, Tick when, Fn fn)
                     when >= windowEnd_,
                 "cross-shard message inside the sync window: quantum "
                 "exceeds the conservative lookahead bound");
-    pending_[shard].push_back(
-        EventQueue::TimedCallback{when, std::move(fn), 0});
+    pending_[shard].push_back(Msg{when, std::move(fn)});
 }
 
 void
@@ -112,46 +84,20 @@ ShardCoordinator::postToHost(std::uint32_t shard, Tick when, Fn fn)
     NVDC_ASSERT(!inRound_ ||
                     when >= windowEnd_,
                 "shard-to-host message inside the sync window: an "
-                "output promise or link latency was broken");
-    outbox_[shard].push_back(Msg{when, kToHost, std::move(fn)});
+                "output promise or the quantum was broken");
+    toHost_.push_back(Msg{when, std::move(fn)});
 }
 
 void
-ShardCoordinator::postToPeer(std::uint32_t from, std::uint32_t to,
-                             Tick when, Fn fn)
+ShardCoordinator::admit(EventQueue& q, std::vector<Msg>& box)
 {
-    NVDC_ASSERT(from < shardCount() && to < shardCount() && from != to,
-                "postToPeer: bad shard pair");
-    NVDC_ASSERT(!inRound_ ||
-                    when >= windowEnd_,
-                "peer-to-peer message inside the sync window: an "
-                "output promise or link latency was broken");
-    outbox_[from].push_back(
-        Msg{when, static_cast<std::int32_t>(to), std::move(fn)});
-}
-
-void
-ShardCoordinator::admit(EventQueue& q,
-                        std::vector<EventQueue::TimedCallback>& box)
-{
-    if (box.empty())
-        return;
-    if (box.size() == 1) {
-        // The common case: one message, no sort, no staged batch. It
-        // takes the next sequence number just as a batch element would.
-        q.schedule(box[0].when, std::move(box[0].fn));
-        box.clear();
-        return;
-    }
-    // One sort + one staged-batch admission instead of a heap push per
-    // message. The stable sort keeps same-tick messages in post order,
-    // so the sequence is exactly what per-message scheduling produced.
-    std::stable_sort(box.begin(), box.end(),
-                     [](const EventQueue::TimedCallback& a,
-                        const EventQueue::TimedCallback& b) {
-                         return a.when < b.when;
-                     });
-    q.scheduleBatch(box); // Consumes; hands back empty scratch.
+    // No sort needed: the queue orders by (tick, seq), and schedule()
+    // hands out sequence numbers in post order, so same-tick messages
+    // keep post order and the block's seqs never interleave with any
+    // other event's.
+    for (Msg& m : box)
+        q.schedule(m.when, std::move(m.fn));
+    box.clear();
 }
 
 void
@@ -177,12 +123,10 @@ ShardCoordinator::scan(Tick* bound)
         next = std::min(next, p);
         if (!bound)
             continue;
-        for (const Link& l : links_[s]) {
-            Tick b = satAdd(p, l.latency);
-            if (l.promise)
-                b = std::max(b, l.promise());
-            e = std::min(e, b);
-        }
+        Tick b = satAdd(p, quantum_);
+        if (promises_[s])
+            b = std::max(b, promises_[s]());
+        e = std::min(e, b);
     }
     if (bound)
         *bound = e;
@@ -204,9 +148,8 @@ ShardCoordinator::round(Tick end)
     windowEnd_ = end;
     ++windows_;
 
-    const std::uint32_t n = shardCount();
     try {
-        for (std::uint32_t s = 0; s < n; ++s) {
+        for (std::uint32_t s = 0; s < shardCount(); ++s) {
             // peek_ is still exact: a shard's queue changes only while
             // its own window runs, and deliveries wait for next round.
             if (peek_[s] < end)
@@ -219,24 +162,10 @@ ShardCoordinator::round(Tick end)
         throw;
     }
 
-    // Route the outboxes in shard order. Host-bound messages merge
-    // deterministically: concatenating in shard order and stable-
-    // sorting by tick yields the canonical (tick, shard, post-order)
-    // sequence. Peer-bound messages append to the destination's
-    // pending box, delivered at the next round's top in the same
-    // canonical order.
-    for (std::uint32_t s = 0; s < n; ++s) {
-        auto& box = outbox_[s];
-        for (Msg& m : box) {
-            auto& dest = m.dest == kToHost
-                             ? merge_
-                             : pending_[static_cast<std::uint32_t>(m.dest)];
-            dest.push_back(
-                EventQueue::TimedCallback{m.when, std::move(m.fn), 0});
-        }
-        box.clear();
-    }
-    admit(host_, merge_);
+    // The shards ran in order, so toHost_ holds (shard, post order);
+    // admitting it in that order yields the canonical (tick, shard,
+    // post order) dispatch.
+    admit(host_, toHost_);
 
     host_.runWindow(end);
     inRound_ = false;
@@ -259,8 +188,8 @@ ShardCoordinator::runUntil(Tick target)
             break;
         }
         // The window may start later than now (idle skip) but never
-        // extends past any link's conservative output bound, so every
-        // in-window stamp keeps its lookahead. When every link is
+        // extends past any shard's conservative output bound, so every
+        // in-window stamp keeps its lookahead. When every shard is
         // provably quiet (promises say nothing is in flight) the
         // round runs straight to the target — the decoupled fast
         // path.

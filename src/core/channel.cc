@@ -10,7 +10,7 @@ namespace nvdimmc::core
 
 Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
                  std::uint32_t index, std::uint32_t count,
-                 std::uint32_t cp_depth, EventQueue* media_eq)
+                 std::uint32_t cp_depth)
     : index_(index)
 {
     map_ = std::make_unique<dram::AddressMap>(cfg.dramCacheBytes);
@@ -32,21 +32,11 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
     imc_ = std::make_unique<imc::Imc>(eq, *bus_, imc_cfg);
 
     switch (cfg.media) {
-      case MediaKind::ZNand: {
-        // With a media queue, the whole media stack simulates on its
-        // own shard; the firmware reaches it through the MediaPort
-        // seam instead of calling the FTL directly.
-        EventQueue& meq = media_eq ? *media_eq : eq;
-        znand_ = std::make_unique<nvm::ZNand>(meq, cfg.znand);
-        ftl_ = std::make_unique<ftl::Ftl>(meq, *znand_, cfg.ftl);
-        if (media_eq) {
-            mediaPort_ = std::make_unique<nvm::MediaPort>(*ftl_);
-            backend_ = mediaPort_.get();
-        } else {
-            backend_ = ftl_.get();
-        }
+      case MediaKind::ZNand:
+        znand_ = std::make_unique<nvm::ZNand>(eq, cfg.znand);
+        ftl_ = std::make_unique<ftl::Ftl>(eq, *znand_, cfg.ftl);
+        backend_ = ftl_.get();
         break;
-      }
       case MediaKind::Pram:
         simpleMedia_ = std::make_unique<nvm::Pram>(eq, cfg.mediaBytes);
         directBackend_ =

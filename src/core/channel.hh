@@ -32,7 +32,6 @@
 #include "ftl/ftl.hh"
 #include "imc/imc.hh"
 #include "nvm/delay_media.hh"
-#include "nvm/media_port.hh"
 #include "nvm/nvm_media.hh"
 #include "nvm/znand.hh"
 #include "nvmc/nvmc.hh"
@@ -47,14 +46,12 @@ class Channel
     /**
      * Build channel @p index of @p count from the per-module slice of
      * @p cfg (capacities in the config are per module). @p cp_depth is
-     * the reconciled CP queue depth the system computed once. A
-     * non-null @p media_eq splits the media stack (FTL + Z-NAND) onto
-     * that queue behind a MediaPort seam — its own event shard — while
-     * everything DDR-side stays on @p eq; ZNand media only.
+     * the reconciled CP queue depth the system computed once. Every
+     * component, media stack included, simulates on @p eq; the
+     * firmware calls the FTL directly.
      */
     Channel(EventQueue& eq, const SystemConfig& cfg, std::uint32_t index,
-            std::uint32_t count, std::uint32_t cp_depth,
-            EventQueue* media_eq = nullptr);
+            std::uint32_t count, std::uint32_t cp_depth);
 
     std::uint32_t index() const { return index_; }
 
@@ -74,9 +71,6 @@ class Channel
     ftl::Ftl* ftl() { return ftl_.get(); }
     const ftl::Ftl* ftl() const { return ftl_.get(); }
     nvm::DelayMedia* delayMedia() { return delayMedia_.get(); }
-    /** The firmware<->media seam; null unless built with a media
-     *  queue. */
-    nvm::MediaPort* mediaPort() { return mediaPort_.get(); }
 
   private:
     std::uint32_t index_;
@@ -91,7 +85,6 @@ class Channel
     std::unique_ptr<nvm::NvmMedia> simpleMedia_;
     std::unique_ptr<nvm::DelayMedia> delayMedia_;
     std::unique_ptr<nvm::DirectBackend> directBackend_;
-    std::unique_ptr<nvm::MediaPort> mediaPort_;
     nvm::PageBackend* backend_ = nullptr;
 
     std::unique_ptr<nvmc::ReservedLayout> layout_;

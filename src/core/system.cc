@@ -10,6 +10,56 @@
 namespace nvdimmc::core
 {
 
+namespace
+{
+
+/**
+ * Build the execution kernel both machines share. @p build constructs
+ * the channel hardware on the per-channel queues it is given (channel
+ * order) and returns the host port that routes to them.
+ *
+ * At threads = 0 every channel runs on @p host and there is no
+ * coordinator (null). At threads >= 1 each channel gets its own shard
+ * queue, created into @p queues, after the sync quantum
+ * (cfg.quantumOverride, or @p bound when 0) has been checked against
+ * @p bound; then the coordinator takes over @p host's run methods,
+ * the port switches to mailbox routing over the host link, and each
+ * shard gets the port's in-flight promise.
+ */
+template <typename Config, typename Build>
+std::unique_ptr<ShardCoordinator>
+buildKernel(EventQueue& host, const Config& cfg, Tick bound,
+            std::vector<std::unique_ptr<EventQueue>>& queues,
+            Build&& build)
+{
+    if (cfg.threads == 0) {
+        build(std::vector<EventQueue*>(cfg.channels, &host));
+        return nullptr;
+    }
+    const Tick quantum =
+        cfg.quantumOverride ? cfg.quantumOverride : bound;
+    if (quantum > bound) {
+        panic("sync quantum ", quantum,
+              " exceeds the conservative cross-shard latency bound ",
+              bound, " — a mailbox message could land in a shard's past");
+    }
+    std::vector<EventQueue*> qs;
+    for (std::uint32_t i = 0; i < cfg.channels; ++i) {
+        queues.push_back(std::make_unique<EventQueue>());
+        qs.push_back(queues.back().get());
+    }
+    imc::HostPort& port = build(qs);
+    auto coord = std::make_unique<ShardCoordinator>(host, qs, quantum);
+    host.setCoordinator(coord.get());
+    port.enableSharding(*coord, host, qs, cfg.hostLinkLatency,
+                        cfg.hostLinkDepth);
+    for (std::uint32_t i = 0; i < cfg.channels; ++i)
+        coord->setPromise(i, port.lookaheadFn(i));
+    return coord;
+}
+
+} // namespace
+
 NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
 {
     NVDC_ASSERT(cfg_.channels >= 1, "system needs at least one channel");
@@ -47,37 +97,25 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
     std::uint32_t cp_depth = std::max(cfg_.driver.cpQueueDepth,
                                       cfg_.nvmc.firmware.cpQueueDepth);
 
-    // Sharded (parallel-in-time) mode: every channel simulates on its
-    // own event queue; the host-side components stay on eq_. With
-    // media splitting each Z-NAND channel contributes a second shard
-    // for its FTL + flash, so the shard vector is laid out
-    // [ddr0..ddrN-1, media0..mediaN-1].
-    const bool sharded = cfg_.threads >= 1;
-    const bool media_split = sharded && cfg_.mediaShards &&
-                             cfg_.media == MediaKind::ZNand;
-    const std::uint32_t nshards =
-        cfg_.channels * (media_split ? 2 : 1);
-    if (sharded) {
-        shardQueues_.reserve(nshards);
-        for (std::uint32_t i = 0; i < nshards; ++i)
-            shardQueues_.push_back(std::make_unique<EventQueue>());
-    }
-
-    channels_.reserve(cfg_.channels);
-    for (std::uint32_t i = 0; i < cfg_.channels; ++i)
-        channels_.push_back(std::make_unique<Channel>(
-            sharded ? *shardQueues_[i] : eq_, cfg_, i, cfg_.channels,
-            cp_depth,
-            media_split ? shardQueues_[cfg_.channels + i].get()
-                        : nullptr));
-
-    std::vector<imc::Imc*> imcs;
-    imcs.reserve(channels_.size());
-    for (auto& ch : channels_)
-        imcs.push_back(&ch->imc());
-    hostPort_ = std::make_unique<imc::HostPort>(
-        std::move(imcs), dram::ChannelInterleave(
-                             cfg_.channels, cfg_.interleaveGranule));
+    // At threads >= 1 every channel simulates on its own event queue
+    // (shard); the host-side components stay on eq_.
+    coord_ = buildKernel(
+        eq_, cfg_, quantumBound(cfg_), shardQueues_,
+        [&](const std::vector<EventQueue*>& qs) -> imc::HostPort& {
+            channels_.reserve(cfg_.channels);
+            for (std::uint32_t i = 0; i < cfg_.channels; ++i)
+                channels_.push_back(std::make_unique<Channel>(
+                    *qs[i], cfg_, i, cfg_.channels, cp_depth));
+            std::vector<imc::Imc*> imcs;
+            imcs.reserve(channels_.size());
+            for (auto& ch : channels_)
+                imcs.push_back(&ch->imc());
+            hostPort_ = std::make_unique<imc::HostPort>(
+                std::move(imcs),
+                dram::ChannelInterleave(cfg_.channels,
+                                        cfg_.interleaveGranule));
+            return *hostPort_;
+        });
 
     cpuCache_ = std::make_unique<cpu::CpuCacheModel>(eq_, *hostPort_,
                                                      cfg_.cpuCache);
@@ -102,7 +140,7 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
             eq_, *hostPort_, cxl_cfg);
         for (std::uint32_t i = 0; i < channels_.size(); ++i)
             cxl_transport->attachChannel(
-                i, sharded ? *shardQueues_[i] : eq_,
+                i, shardQueues_.empty() ? eq_ : *shardQueues_[i],
                 channels_[i]->dram(), channels_[i]->backend(),
                 channels_[i]->layout());
         transport_ = std::move(cxl_transport);
@@ -121,53 +159,6 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
     driver_ = std::make_unique<driver::NvdcDriver>(
         eq_, *cpuCache_, *engine_, std::move(layouts), backend_pages,
         cfg_.driver, transport_.get());
-
-    if (sharded) {
-        const Tick bound = quantumBound(cfg_);
-        const Tick quantum =
-            cfg_.quantumOverride ? cfg_.quantumOverride : bound;
-        if (quantum > bound) {
-            panic("sync quantum ", quantum,
-                  " exceeds the conservative cross-shard latency "
-                  "bound ", bound,
-                  " — a mailbox message could land in a shard's past");
-        }
-        std::vector<EventQueue*> qs;
-        qs.reserve(shardQueues_.size());
-        for (auto& q : shardQueues_)
-            qs.push_back(q.get());
-        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum);
-        eq_.setCoordinator(coord_.get());
-        // The host port only routes to the DDR-side shards; a split
-        // channel's media shard is reachable solely through its
-        // MediaPort seam.
-        std::vector<EventQueue*> ddr_qs(
-            qs.begin(), qs.begin() + cfg_.channels);
-        hostPort_->enableSharding(*coord_, eq_, std::move(ddr_qs),
-                                  cfg_.hostLinkLatency,
-                                  cfg_.hostLinkDepth);
-
-        // Per-pair links. DDR shard <-> host keeps the quantum-derived
-        // bound but gains the port's in-flight promise; a split
-        // channel's DDR <-> media pair syncs on the far looser
-        // µs-scale media command latency, with the media side
-        // promising quiet whenever no posted page op is outstanding.
-        for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
-            coord_->setLink(i, ShardCoordinator::kToHost, quantum,
-                            hostPort_->lookaheadFn(i));
-            if (!media_split)
-                continue;
-            const std::uint32_t m = cfg_.channels + i;
-            nvm::MediaPort* mp = channels_[i]->mediaPort();
-            coord_->setLink(i, static_cast<std::int32_t>(m),
-                            cfg_.mediaLinkLatency);
-            coord_->setLink(m, static_cast<std::int32_t>(i),
-                            cfg_.mediaLinkLatency, mp->lookaheadFn());
-            mp->enableSharding(*coord_, *shardQueues_[i],
-                               *shardQueues_[m], i, m,
-                               cfg_.mediaLinkLatency);
-        }
-    }
 
     if (telemetry::enabled()) {
         const Tick interval =
@@ -382,17 +373,12 @@ NvdimmcSystem::registerStats(StatRegistry& reg) const
     if (coord_) {
         // Export metadata only (JSON "_meta"): the text dump stays
         // byte-identical for every threads >= 1.
-        const bool media_split = channels_[0]->mediaPort() != nullptr;
         reg.setMeta("threads", coord_->executors());
         reg.setMeta("shards",
                     static_cast<double>(coord_->shardCount()));
         reg.setMeta("executors", coord_->executors());
-        reg.setMeta("media_shards", media_split ? 1.0 : 0.0);
         reg.setMeta("quantum_ticks",
                     static_cast<double>(coord_->quantum()));
-        if (media_split)
-            reg.setMeta("media_quantum_ticks",
-                        static_cast<double>(cfg_.mediaLinkLatency));
     }
 
     if (channels_.size() == 1) {
@@ -617,40 +603,36 @@ BaselineSystem::BaselineSystem(const BaselineConfig& cfg) : cfg_(cfg)
                     cfg_.interleaveGranule ==
                         dram::ChannelInterleave::kLineGranule,
                 "baseline interleave granule must be 4096 or 256");
-    // Sharded (parallel-in-time) mode: every channel's DRAM, bus and
-    // iMC simulate on their own event queue; the CPU-side components
-    // stay on eq_. There is no device transport here, so the shard
-    // vector is just [ch0..chN-1].
-    const bool sharded = cfg_.threads >= 1;
-    if (sharded) {
-        shardQueues_.reserve(cfg_.channels);
-        for (std::uint32_t i = 0; i < cfg_.channels; ++i)
-            shardQueues_.push_back(std::make_unique<EventQueue>());
-    }
+    // At threads >= 1 every channel's DRAM, bus and iMC simulate on
+    // their own event queue (shard); the CPU-side components stay on
+    // eq_. With no device transport the host link is the only
+    // cross-shard path, so its latency is the quantum bound.
+    coord_ = buildKernel(
+        eq_, cfg_, std::max<Tick>(cfg_.hostLinkLatency, 1), shardQueues_,
+        [&](const std::vector<EventQueue*>& qs) -> imc::HostPort& {
+            for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
+                maps_.push_back(std::make_unique<dram::AddressMap>(
+                    cfg.capacityBytes));
+                drams_.push_back(std::make_unique<dram::DramDevice>(
+                    *maps_.back(), cfg.dramTiming, cfg.storeData, false));
+                buses_.push_back(std::make_unique<bus::MemoryBus>(
+                    *qs[i], *drams_.back(), false));
 
-    for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
-        EventQueue& ch_eq = sharded ? *shardQueues_[i] : eq_;
-        maps_.push_back(
-            std::make_unique<dram::AddressMap>(cfg.capacityBytes));
-        drams_.push_back(std::make_unique<dram::DramDevice>(
-            *maps_.back(), cfg.dramTiming, cfg.storeData, false));
-        buses_.push_back(std::make_unique<bus::MemoryBus>(
-            ch_eq, *drams_.back(), false));
-
-        imc::ImcConfig imc_cfg = cfg.imc;
-        imc_cfg.refresh = cfg.refresh;
-        if (cfg_.channels > 1)
-            imc_cfg.name = "ch" + std::to_string(i) + ".imc";
-        imcs_.push_back(std::make_unique<imc::Imc>(
-            ch_eq, *buses_.back(), imc_cfg));
-    }
-
-    std::vector<imc::Imc*> imcs;
-    for (auto& i : imcs_)
-        imcs.push_back(i.get());
-    hostPort_ = std::make_unique<imc::HostPort>(
-        std::move(imcs),
-        dram::ChannelInterleave(cfg_.channels, cfg_.interleaveGranule));
+                imc::ImcConfig imc_cfg = cfg.imc;
+                imc_cfg.refresh = cfg.refresh;
+                if (cfg_.channels > 1)
+                    imc_cfg.name = "ch" + std::to_string(i) + ".imc";
+                imcs_.push_back(std::make_unique<imc::Imc>(
+                    *qs[i], *buses_.back(), imc_cfg));
+            }
+            std::vector<imc::Imc*> imcs;
+            for (auto& i : imcs_)
+                imcs.push_back(i.get());
+            hostPort_ = std::make_unique<imc::HostPort>(
+                std::move(imcs), dram::ChannelInterleave(
+                                     cfg_.channels, cfg_.interleaveGranule));
+            return *hostPort_;
+        });
 
     cpuCache_ = std::make_unique<cpu::CpuCacheModel>(eq_, *hostPort_,
                                                      cfg.cpuCache);
@@ -658,32 +640,6 @@ BaselineSystem::BaselineSystem(const BaselineConfig& cfg) : cfg_(cfg)
         eq_, *hostPort_, cpuCache_.get(), cfg.memcpy);
     driver_ = std::make_unique<driver::PmemDriver>(
         eq_, *engine_, cfg.capacityBytes * cfg_.channels, cfg.pmem);
-
-    if (sharded) {
-        // With no device transport the host link is the only
-        // cross-shard path, so its latency is the quantum bound.
-        const Tick bound = std::max<Tick>(cfg_.hostLinkLatency, 1);
-        const Tick quantum =
-            cfg_.quantumOverride ? cfg_.quantumOverride : bound;
-        if (quantum > bound) {
-            panic("sync quantum ", quantum,
-                  " exceeds the conservative cross-shard latency "
-                  "bound ", bound,
-                  " — a mailbox message could land in a shard's past");
-        }
-        std::vector<EventQueue*> qs;
-        qs.reserve(shardQueues_.size());
-        for (auto& q : shardQueues_)
-            qs.push_back(q.get());
-        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum);
-        eq_.setCoordinator(coord_.get());
-        hostPort_->enableSharding(*coord_, eq_, std::move(qs),
-                                  cfg_.hostLinkLatency,
-                                  cfg_.hostLinkDepth);
-        for (std::uint32_t i = 0; i < cfg_.channels; ++i)
-            coord_->setLink(i, ShardCoordinator::kToHost, quantum,
-                            hostPort_->lookaheadFn(i));
-    }
 
     if (telemetry::enabled()) {
         const Tick interval =

@@ -175,7 +175,8 @@ class NvdimmcSystem
 
     SystemConfig cfg_;
     EventQueue eq_; ///< Host shard queue (the only queue when serial).
-    /** Per-channel shard queues; empty on a classic serial system. */
+    /** One shard queue per channel; empty on a classic serial
+     *  system. */
     std::vector<std::unique_ptr<EventQueue>> shardQueues_;
 
     std::vector<std::unique_ptr<Channel>> channels_;
@@ -189,13 +190,11 @@ class NvdimmcSystem
     std::unique_ptr<backend::MediaBackend> transport_;
     std::unique_ptr<driver::NvdcDriver> driver_;
     /** Null unless telemetry::enabled() at construction. Declared
-     *  after every probed component (its getters read them), before
-     *  coord_ (the sampler must be descheduled while workers are
-     *  joined). */
+     *  after every probed component (its getters read them). */
     std::unique_ptr<telemetry::Collector> telemetry_;
 
-    /** Declared last: its destructor joins the worker threads while
-     *  every queue and component they touch is still alive. */
+    /** Null on a classic serial system. Declared last, so it goes
+     *  first, while every queue it points at is still alive. */
     std::unique_ptr<ShardCoordinator> coord_;
 };
 
@@ -239,7 +238,8 @@ class BaselineSystem
 
     BaselineConfig cfg_;
     EventQueue eq_;
-    /** Sharded mode only: one queue per channel. */
+    /** One shard queue per channel; empty on a classic serial
+     *  system. */
     std::vector<std::unique_ptr<EventQueue>> shardQueues_;
     std::vector<std::unique_ptr<dram::AddressMap>> maps_;
     std::vector<std::unique_ptr<dram::DramDevice>> drams_;
@@ -252,8 +252,8 @@ class BaselineSystem
     /** Null unless telemetry::enabled() at construction. */
     std::unique_ptr<telemetry::Collector> telemetry_;
 
-    /** Declared last: its destructor joins the worker threads while
-     *  every queue and component they touch is still alive. */
+    /** Null on a classic serial system. Declared last, so it goes
+     *  first, while every queue it points at is still alive. */
     std::unique_ptr<ShardCoordinator> coord_;
 };
 

@@ -66,8 +66,8 @@ struct SystemConfig
      * kernel, byte-identical to pre-shard builds. threads >= 1 runs
      * each channel as its own event shard under conservative quantum
      * sync, every round on the calling thread: the value only selects
-     * this model (with its host and media links), so every
-     * threads >= 1 is the same execution. */
+     * this model (with its host link), so every threads >= 1 is the
+     * same execution. */
     /** @{ */
     std::uint32_t threads = 0;
     /** Modeled host<->module routing latency: every host line/bulk
@@ -84,18 +84,6 @@ struct SystemConfig
      *  bound. Must not exceed the bound — construction panics, the
      *  quantum-checker regression. 0 = auto. */
     Tick quantumOverride = 0;
-    /** Split each Z-NAND channel's FTL + media into its own event
-     *  shard behind a firmware<->media mailbox seam, lifting the
-     *  shard-count ceiling from channels to 2 x channels. Sharded
-     *  ZNand systems only; other media kinds (and threads = 0) ignore
-     *  it. */
-    bool mediaShards = true;
-    /** Modeled firmware<->flash-controller command latency: the
-     *  firmware<->media links' lookahead, and the minimum lead every
-     *  page op and completion crossing the seam carries. µs-scale
-     *  (NVMe-style command issue), so the media pair's window bound is
-     *  far looser than the host link's. */
-    Tick mediaLinkLatency = 1 * kUs;
     /** @} */
 
     /** @name DRAM cache DIMM. */

@@ -20,8 +20,8 @@
  *
  * Every campaign returns a fingerprint string derived only from
  * simulation content (no host pointers, no wall clock), so two runs
- * with the same seed — at any `--threads` value — must produce equal
- * fingerprints. Tests and the faults sweep assert exactly that.
+ * with the same seed and `--threads` value (every value >= 1 is the
+ * same execution) produce equal fingerprints; tests pin them.
  */
 
 #ifndef NVDIMMC_FAULT_CAMPAIGN_HH
@@ -42,8 +42,8 @@ struct PowerFailCampaignConfig
     std::uint64_t seed = 1;
     /** NVDIMM-C modules (device pages interleave across them). */
     std::uint32_t channels = 2;
-    /** Executor threads (0 = classic serial kernel; campaigns assert
-     *  determinism across values >= 1). */
+    /** SystemConfig::threads (0 = classic serial kernel; every
+     *  value >= 1 selects the same sharded machine). */
     std::uint32_t threads = 1;
     /** Cut power once simulated time reaches this tick (0 = let the
      *  workload finish first, then cut — everything is committed). */

@@ -72,7 +72,7 @@ class MediaFaultInjector
     void detachAll();
 
     /** @name Injection tallies, summed over channels. Tallies are
-     *  kept per channel (each updated only from its own media shard)
+     *  kept per channel (each updated only from its own channel shard)
      *  and summed here; call only while the simulation is stopped. */
     /** @{ */
     std::uint64_t readErrorsInjected() const;

@@ -53,10 +53,9 @@ HostPort::lookaheadFn(std::uint32_t ch)
 {
     // postedMsgs is written on the host shard at op-post time,
     // completedMsgs on the channel shard at message-post time; the
-    // coordinator reads both between rounds, after the barrier that
-    // ordered the writes. Equal counts mean every owed credit and
-    // completion is already in the mailbox, and the channel never
-    // emits host-bound messages spontaneously.
+    // coordinator reads both between rounds. Equal counts mean every
+    // owed credit and completion is already in the mailbox, and the
+    // channel never emits host-bound messages spontaneously.
     return [this, ch]() -> Tick {
         const auto& st = shardStates_[ch];
         return st.postedMsgs == st.completedMsgs ? kTickNever : 0;

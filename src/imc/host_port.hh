@@ -179,10 +179,8 @@ class HostPort
 
     /**
      * Per-channel sharded-mode state. The host fields are only
-     * touched on the coordinating thread during host windows; the
-     * channel fields only by whichever worker runs the shard's
-     * window. The barrier between phases is all the synchronization
-     * the split needs.
+     * touched during host windows, the channel fields only during the
+     * shard's own window; every round runs on one thread.
      */
     struct ShardState
     {

@@ -300,15 +300,15 @@ struct FuzzShape
     Tick (*delta)(Lcg&) = nullptr;
     /** Largest runUntil/runWindow horizon past now(). */
     Tick horizon = 300;
-    /** Largest offset of a staged batch's first element, and of each
+    /** Largest offset of a burst's first element, and of each
      *  following element past the previous one. */
-    Tick batchStart = 200;
-    Tick batchStep = 40;
+    Tick burstStart = 200;
+    Tick burstStep = 40;
     int ops = 1500;
     /** One-shots scheduled before the random stream starts. */
     int preload = 0;
     /** Turn one op in 16 into a cancel storm between a runWindow and
-     *  a scheduleBatch (forces dead-entry compaction). */
+     *  a burst (forces dead-entry compaction). */
     bool cancelStorms = false;
 };
 
@@ -322,14 +322,16 @@ struct FuzzStats
 
 /**
  * Differential fuzz harness: a random stream of schedule / cancel /
- * reschedule / scheduleBatch / bounded-run operations executed on the
+ * reschedule / burst / bounded-run operations executed on the
  * kernel must dispatch in exactly the order a reference (tick, seq)
  * ordered set produces. The reference mirrors the kernel's contract
  * directly — one shared sequence counter stamped in program order,
  * cancellation by removal, runUntil inclusive vs runWindow exclusive
  * bounds — so any kernel bug (heap ordering, a dead entry surfacing
  * as live, compaction dropping or reordering a live entry, bound
- * handling, the staged-lane merge) shows up as an order divergence.
+ * handling) shows up as an order divergence. A burst is a tick-sorted
+ * train of back-to-back schedule() calls, the shape of a sharded
+ * mailbox delivery.
  */
 FuzzStats
 runDifferentialFuzz(std::uint64_t seed, const FuzzShape& shape)
@@ -385,21 +387,13 @@ runDifferentialFuzz(std::uint64_t seed, const FuzzShape& shape)
         eq.cancel(shots[i].first);
         ref.erase(shots[i].second); // A no-op if it already fired.
     };
-    auto schedule_batch = [&] {
-        std::vector<EventQueue::TimedCallback> batch;
-        Tick at = ref_now + rnd() % shape.batchStart;
+    auto schedule_burst = [&] {
+        Tick at = ref_now + rnd() % shape.burstStart;
         std::size_t n = 1 + rnd() % 6;
         for (std::size_t i = 0; i < n; ++i) {
-            at += rnd() % shape.batchStep;
-            int label = next_label++;
-            batch.push_back({at,
-                             [&real_order, label] {
-                                 real_order.push_back(label);
-                             },
-                             0});
-            ref.insert(Key{at, ref_seq++, label});
+            at += rnd() % shape.burstStep;
+            schedule_shot(at);
         }
-        eq.scheduleBatch(batch);
     };
 
     for (int i = 0; i < shape.preload; ++i)
@@ -415,7 +409,7 @@ runDifferentialFuzz(std::uint64_t seed, const FuzzShape& shape)
         if (shape.cancelStorms && kind == 15) {
             // Cancel storm: a window, then a burst of guards nearly
             // all cancelled (dead entries pile past 2 x pending and
-            // the next pushes compact them), then a staged batch.
+            // the next pushes compact them), then a burst.
             Tick end = ref_now + rnd() % shape.horizon;
             eq.runWindow(end);
             ref_run(end, /*strict=*/true);
@@ -427,7 +421,7 @@ runDifferentialFuzz(std::uint64_t seed, const FuzzShape& shape)
                     cancel_shot(i);
             for (int g = 0; g < 8; ++g)
                 schedule_shot(ref_now + shape.delta(rnd));
-            schedule_batch();
+            schedule_burst();
             EXPECT_LE(eq.residentEntries(), 2 * eq.pending() + 64)
                 << "seed " << seed;
             continue;
@@ -457,8 +451,8 @@ runDifferentialFuzz(std::uint64_t seed, const FuzzShape& shape)
             ref.insert(wrapper_key[w]);
             break;
         }
-        case 10: // Staged batch.
-            schedule_batch();
+        case 10: // Burst.
+            schedule_burst();
             break;
         case 11: { // Peek must agree with the reference minimum.
             Tick want =
@@ -547,16 +541,15 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
  * The same differential check at the simulator's real scale:
  * picosecond delays (1 ns-16 us plus same-tick pile-ups), a seed that
  * starts with more than 4096 events outstanding, and cancel storms
- * that force dead-entry compaction between a runWindow and a
- * scheduleBatch.
+ * that force dead-entry compaction between a runWindow and a burst.
  */
 TEST(EventKernel, DifferentialFuzzPicosecondScale)
 {
     FuzzShape shape;
     shape.delta = picosecondDelta;
     shape.horizon = 4'000'000;
-    shape.batchStart = 2'000'000;
-    shape.batchStep = 400'000;
+    shape.burstStart = 2'000'000;
+    shape.burstStep = 400'000;
     shape.ops = 3000;
     shape.cancelStorms = true;
     std::uint64_t compactions = 0;

@@ -9,11 +9,11 @@
  *  - the quantum properties the design promises: the auto-derived
  *    quantum never exceeds any cross-channel latency term, shrinking
  *    it never changes results, and growing it past the bound panics;
- *  - whole-system pins: one sharded point per (channels, media
- *    split) checks the text-stats FNV-1a and the fired-event count
- *    against values recorded before the executor pool was deleted,
- *    so a change to the sharded model shows up across commits, not
- *    only as a same-commit diff of a run with itself;
+ *  - whole-system pins: sharded points at 1, 2 and 4 channels check
+ *    the text-stats FNV-1a and the fired-event count against values
+ *    recorded at earlier commits, so a change to the sharded model
+ *    shows up across commits, not only as a same-commit diff of a
+ *    run with itself;
  *  - the shard-audit regressions: the tracer's global capture buffer
  *    and span registry are canonical across runs and --threads
  *    values, Rng instances share no hidden state, SimMutex wake order
@@ -82,122 +82,6 @@ TEST(RunWindow, PeekSkipsCancelledEvents)
     EXPECT_EQ(eq.peekNextTick(), Tick{10});
     eq.cancel(id);
     EXPECT_EQ(eq.peekNextTick(), Tick{20});
-}
-
-// ---------------------------------------------------------------------
-// Staged-batch admission (the batched mailbox-delivery lane).
-
-TEST(ScheduleBatch, EmptyBatchIsANoOpAndWindowStillAdvances)
-{
-    EventQueue eq;
-    std::vector<EventQueue::TimedCallback> batch;
-    eq.scheduleBatch(batch);
-    EXPECT_EQ(eq.peekNextTick(), kTickNever);
-    eq.runWindow(500); // Empty window: pure clock advance.
-    EXPECT_EQ(eq.now(), Tick{500});
-}
-
-TEST(ScheduleBatch, RespectsTheExclusiveWindowEdge)
-{
-    EventQueue eq;
-    std::vector<int> fired;
-    std::vector<EventQueue::TimedCallback> batch;
-    batch.push_back({Tick{99}, [&] { fired.push_back(99); }, 0});
-    batch.push_back({Tick{100}, [&] { fired.push_back(100); }, 0});
-    eq.scheduleBatch(batch);
-    // A staged event exactly on the boundary belongs to the next
-    // window, same as a heap event.
-    eq.runWindow(100);
-    EXPECT_EQ(fired, (std::vector<int>{99}));
-    EXPECT_EQ(eq.now(), Tick{100});
-    eq.runWindow(101);
-    EXPECT_EQ(fired, (std::vector<int>{99, 100}));
-}
-
-TEST(ScheduleBatch, MergesWithHeapInScheduleOrderAtSameTick)
-{
-    EventQueue eq;
-    std::vector<std::string> fired;
-    eq.schedule(Tick{50}, [&] { fired.push_back("heap-first"); });
-    std::vector<EventQueue::TimedCallback> batch;
-    batch.push_back({Tick{40}, [&] { fired.push_back("batch40"); }, 0});
-    batch.push_back({Tick{50}, [&] { fired.push_back("batch50"); }, 0});
-    eq.scheduleBatch(batch);
-    eq.schedule(Tick{50}, [&] { fired.push_back("heap-last"); });
-    eq.schedule(Tick{30}, [&] { fired.push_back("heap30"); });
-    eq.runAll();
-    // Ticks ascend; within a tick, global schedule order (heap or
-    // staged) wins — exactly what per-message scheduling produced.
-    EXPECT_EQ(fired, (std::vector<std::string>{"heap30", "batch40",
-                                               "heap-first", "batch50",
-                                               "heap-last"}));
-}
-
-TEST(ScheduleBatch, KeepsPostOrderWithinATickAndAcrossBatches)
-{
-    EventQueue eq;
-    std::vector<int> fired;
-    std::vector<EventQueue::TimedCallback> a, b;
-    a.push_back({Tick{10}, [&] { fired.push_back(1); }, 0});
-    a.push_back({Tick{10}, [&] { fired.push_back(2); }, 0});
-    b.push_back({Tick{10}, [&] { fired.push_back(3); }, 0});
-    b.push_back({Tick{20}, [&] { fired.push_back(4); }, 0});
-    eq.scheduleBatch(a);
-    eq.scheduleBatch(b);
-    eq.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(ScheduleBatch, ReentrantBatchFromAStagedCallbackIsSafe)
-{
-    EventQueue eq;
-    std::vector<int> fired;
-    std::vector<EventQueue::TimedCallback> outer;
-    outer.push_back({Tick{10}, [&] {
-        fired.push_back(1);
-        // Re-enter scheduleBatch from inside a staged callback; the
-        // queue must survive its stage vector mutating under it.
-        std::vector<EventQueue::TimedCallback> inner;
-        inner.push_back({Tick{15}, [&] { fired.push_back(2); }, 0});
-        eq.scheduleBatch(inner);
-    }, 0});
-    outer.push_back({Tick{20}, [&] { fired.push_back(3); }, 0});
-    eq.scheduleBatch(outer);
-    eq.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ScheduleBatch, RecyclesTheDeliveryBuffer)
-{
-    EventQueue eq;
-    std::vector<EventQueue::TimedCallback> batch;
-    batch.reserve(64);
-    batch.push_back({Tick{10}, [] {}, 0});
-    eq.scheduleBatch(batch);
-    // The queue takes the storage and hands back an empty buffer the
-    // caller can refill (possibly a recycled one from an earlier,
-    // already-drained batch).
-    EXPECT_TRUE(batch.empty());
-    eq.runAll();
-    batch.push_back({Tick{20}, [] {}, 0});
-    eq.scheduleBatch(batch);
-    eq.runAll();
-    EXPECT_EQ(eq.now(), Tick{20});
-}
-
-TEST(ScheduleBatch, RejectsPastStampsAndUnsortedBatches)
-{
-    EventQueue eq;
-    eq.schedule(Tick{100}, [] {});
-    eq.runAll();
-    ASSERT_EQ(eq.now(), Tick{100});
-    std::vector<EventQueue::TimedCallback> past;
-    past.push_back({Tick{50}, [] {}, 0});
-    EXPECT_THROW(eq.scheduleBatch(past), PanicError);
-    std::vector<EventQueue::TimedCallback> unsorted;
-    unsorted.push_back({Tick{300}, [] {}, 0});
-    unsorted.push_back({Tick{200}, [] {}, 0});
-    EXPECT_THROW(eq.scheduleBatch(unsorted), PanicError);
 }
 
 // ---------------------------------------------------------------------
@@ -305,18 +189,17 @@ TEST(ShardCoordinator, ShardExceptionPropagatesAndStaysRunnable)
 }
 
 // ---------------------------------------------------------------------
-// Adaptive lookahead (per-link promises).
+// Adaptive lookahead (per-shard promises).
 
 TEST(Lookahead, QuietPromiseCollapsesWindowsToOne)
 {
     CoordRig rig;
     // Shard 0 runs internal-only events spread far wider than the
-    // quantum; its link honestly promises nothing is in flight.
+    // quantum; it honestly promises nothing is in flight.
     std::vector<Tick> fired;
     for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
         rig.s0.schedule(t, [&, t] { fired.push_back(t); });
-    rig.coord.setLink(0, ShardCoordinator::kToHost, 100,
-                      [] { return kTickNever; });
+    rig.coord.setPromise(0, [] { return kTickNever; });
     rig.host.runUntil(1000);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 300, 600, 900}));
     // Without the promise this takes one window per event cluster;
@@ -344,8 +227,7 @@ TEST(Lookahead, FinitePromiseRaisesTheBoundOnly)
     std::vector<Tick> fired;
     for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
         rig.s0.schedule(t, [&, t] { fired.push_back(t); });
-    rig.coord.setLink(0, ShardCoordinator::kToHost, 100,
-                      [] { return Tick{450}; });
+    rig.coord.setPromise(0, [] { return Tick{450}; });
     rig.host.runUntil(1000);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 300, 600, 900}));
     // Window 1 ends at 450 (fires 10 and 300), then 600+100, then
@@ -355,13 +237,12 @@ TEST(Lookahead, FinitePromiseRaisesTheBoundOnly)
 
 TEST(Lookahead, UnsoundPromiseTripsTheCheckerMidWindow)
 {
-    // The link claims it is quiet forever, but the shard emits a
+    // The shard claims it is quiet forever, but it emits a
     // message anyway. The extended window must not silently corrupt
     // time: the conservative runtime checker catches the stamp landing
     // inside the in-flight window.
     CoordRig rig;
-    rig.coord.setLink(0, ShardCoordinator::kToHost, 100,
-                      [] { return kTickNever; });
+    rig.coord.setPromise(0, [] { return kTickNever; });
     rig.s0.schedule(Tick{10}, [&] {
         rig.coord.postToHost(0, rig.s0.now() + 100, [] {});
     });
@@ -403,18 +284,17 @@ struct ShardedResult
  * One short sharded fio run. Cached (default): 4 KB random writes over
  * a preconditioned region, all hits. @p uncached: 4 KB random reads
  * past a cache full of dirty pages, so every access pays a writeback
- * and a Z-NAND cachefill through the media shards.
+ * and a Z-NAND cachefill.
  */
 ShardedResult
 shardedRun(std::uint32_t channels, std::uint32_t threads,
            Tick quantum_override = 0, const char* trace_path = nullptr,
-           bool media_shards = true, bool uncached = false)
+           bool uncached = false)
 {
     core::SystemConfig cfg = core::SystemConfig::scaledTest();
     cfg.channels = channels;
     cfg.threads = threads;
     cfg.quantumOverride = quantum_override;
-    cfg.mediaShards = media_shards;
     core::NvdimmcSystem sys(cfg);
     const std::uint32_t slots = sys.totalSlotCount();
 
@@ -477,9 +357,10 @@ fnv1a64(const std::string& s)
 }
 
 /** A sharded run's output pinned by value. The values were recorded
- *  with the executor-pool coordinator, whose runs at every executor
- *  count were byte-identical; a deliberate model change re-records
- *  them (print fnv1a64(text) and events from a failing run). */
+ *  at earlier commits (with the executor-pool coordinator, and with
+ *  the firmware <-> media shard split turned off); a deliberate model
+ *  change re-records them (print fnv1a64(text) and events from a
+ *  failing run). */
 void
 expectPinned(const ShardedResult& r, std::uint64_t fnv,
              std::uint64_t events)
@@ -489,7 +370,7 @@ expectPinned(const ShardedResult& r, std::uint64_t fnv,
     EXPECT_NE(r.text.find("cache."), std::string::npos);
 }
 
-// 4 channels, media split on, cached 4 KB writes.
+// 4 channels, cached 4 KB writes.
 constexpr std::uint64_t kPin4chFnv = 0xe63a0bd9c2179789ull;
 constexpr std::uint64_t kPin4chEvents = 223461;
 
@@ -498,12 +379,12 @@ TEST(ShardedPin, FourChannelCachedWrite)
     expectPinned(shardedRun(4, 1), kPin4chFnv, kPin4chEvents);
 }
 
-TEST(ShardedPin, MediaSplitUncachedRead)
+TEST(ShardedPin, TwoChannelUncachedRead)
 {
-    // 2 channels, media split on: the firmware <-> media seam carries
-    // every writeback and cachefill.
-    expectPinned(shardedRun(2, 1, 0, nullptr, true, /*uncached=*/true),
-                 0xe4a3bcdd2a00454bull, 28530);
+    // 2 channels, every access a writeback plus a Z-NAND cachefill
+    // that the firmware sends straight to its FTL.
+    expectPinned(shardedRun(2, 1, 0, nullptr, /*uncached=*/true),
+                 0xe4a3bcdd2a00454bull, 28435);
 }
 
 TEST(ParallelDeterminism, ByteIdenticalAcrossThreadCounts)
@@ -520,18 +401,17 @@ TEST(ParallelDeterminism, SingleChannelSharded)
 
 TEST(ParallelDeterminism, MediaShardsWithThreadsBeyondChannels)
 {
-    // With the media split a 2-channel machine has 4 shards; a thread
-    // count past both the channel and the shard count still selects
-    // the same machine.
+    // The Z-NAND media side rides in its channel's shard, so a
+    // 2-channel machine has 2 shards; a thread count past that still
+    // selects the same machine.
     expectPinned(shardedRun(2, 8), 0xfb7bb34cf90f5574ull, 223050);
 }
 
 TEST(ParallelDeterminism, MediaSplitOffIsStillDeterministic)
 {
-    // The classic shard-per-channel topology stays available behind
-    // cfg.mediaShards.
-    expectPinned(shardedRun(2, 1, 0, nullptr, false), 0xfb7bb34cf90f5574ull,
-                 223050);
+    // Shard-per-channel with the media inside its channel is the only
+    // topology; threads=1 matches the threads=8 pin above.
+    expectPinned(shardedRun(2, 1), 0xfb7bb34cf90f5574ull, 223050);
 }
 
 TEST(QuantumShrink, NeverChangesResults)
@@ -570,29 +450,22 @@ TEST(StatsMeta, ShardedJsonCarriesMetaTextDoesNot)
     EXPECT_NE(json.str().find("\"_meta\":{\"threads\":"),
               std::string::npos);
     EXPECT_NE(json.str().find("\"quantum_ticks\":"), std::string::npos);
-    // Z-NAND media split: 2 channels -> 4 shards, and the media pair's
-    // own quantum is reported alongside the DDR one.
-    EXPECT_NE(json.str().find("\"shards\":4"), std::string::npos);
-    EXPECT_NE(json.str().find("\"media_shards\":1"), std::string::npos);
-    EXPECT_NE(json.str().find("\"media_quantum_ticks\":"),
-              std::string::npos);
     EXPECT_EQ(text.str().find("_meta"), std::string::npos);
     EXPECT_EQ(text.str().find("threads"), std::string::npos);
 }
 
 TEST(StatsMeta, MediaSplitOffReportsChannelShards)
 {
+    // One shard per channel (the media side shares it), and no media_*
+    // key in the metadata.
     core::SystemConfig cfg = core::SystemConfig::scaledTest();
     cfg.channels = 2;
     cfg.threads = 2;
-    cfg.mediaShards = false;
     core::NvdimmcSystem sys(cfg);
     std::ostringstream json;
     sys.dumpStatsJson(json);
-    EXPECT_NE(json.str().find("\"shards\":2"), std::string::npos);
-    EXPECT_NE(json.str().find("\"media_shards\":0"), std::string::npos);
-    EXPECT_EQ(json.str().find("media_quantum_ticks"),
-              std::string::npos);
+    EXPECT_NE(json.str().find("\"shards\":2,"), std::string::npos);
+    EXPECT_EQ(json.str().find("\"media_"), std::string::npos);
 }
 
 TEST(StatsMeta, ClassicJsonHasNoMeta)
