@@ -14,9 +14,6 @@
  *    (timeout guards, superseded wakeups).
  *  - intrusive_periodic: 64 owner-embedded events rescheduling
  *    themselves in place (iMC wakeups, controller steps).
- *  - mailbox_single: cross-shard mailbox delivery — a window's worth
- *    of messages admitted one schedule() at a time (the coordinator's
- *    path), then drained interleaved with the queue's own churn.
  *  - shape_*: scheduler-shape probes, each one region of the space a
  *    kernel data structure can win or lose in — dense near-future
  *    (512 events at < 64-tick deltas), sparse far-future (16 events at
@@ -158,67 +155,6 @@ BM_IntrusivePeriodic(benchmark::State& state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(kEvents) *
                             state.iterations());
-}
-
-/**
- * Mailbox delivery: rounds of `kWindow` cross-shard messages land on
- * a queue that also runs its own self-rescheduling churn (the shard's
- * device events), mirroring what ShardCoordinator::deliverToShards
- * feeds a shard each round: one schedule() per message, in post
- * order.
- */
-void
-runMailboxRounds(benchmark::State& state, std::uint64_t events)
-{
-    struct Msg
-    {
-        Tick when;
-        std::function<void()> fn;
-    };
-    const std::uint64_t kWindow = 256; // Messages per round.
-    std::uint64_t sbo = 0;
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t fired = 0;
-        std::uint64_t churn = 0;
-        // Background churn: 32 device events stepping every round.
-        std::vector<std::function<void()>> steps(32);
-        for (std::uint64_t i = 0; i < steps.size(); ++i) {
-            steps[i] = [&, i] {
-                if (++churn < events)
-                    eq.scheduleAfter(90 + (churn * 5 + i) % 31,
-                                     steps[i]);
-            };
-            eq.scheduleAfter(1 + i, steps[i]);
-        }
-        std::vector<Msg> box;
-        box.reserve(kWindow);
-        while (fired < events) {
-            // Build one round's delivery (stamps >= now + 100, the
-            // link latency).
-            Tick base = eq.now() + 100;
-            for (std::uint64_t i = 0; i < kWindow; ++i)
-                box.push_back(Msg{base + i / 4, [&] { ++fired; }});
-            for (Msg& m : box)
-                eq.schedule(m.when, std::move(m.fn));
-            box.clear();
-            eq.runWindow(base + kWindow);
-        }
-        eq.runAll();
-        benchmark::DoNotOptimize(fired + churn);
-        sbo = eq.sboOverflows();
-    }
-    // Callables that spilled the small-buffer inline storage (each one
-    // is a heap round-trip on the hot path; should stay 0).
-    state.counters["sbo_overflows"] = static_cast<double>(sbo);
-    state.SetItemsProcessed(static_cast<std::int64_t>(events) *
-                            state.iterations());
-}
-
-void
-BM_MailboxSingle(benchmark::State& state)
-{
-    runMailboxRounds(state, 1'000'000);
 }
 
 // ---------------------------------------------------------------------
@@ -480,7 +416,6 @@ BENCHMARK(BM_OneShotChain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OneShotChurn4k)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IntrusivePeriodic)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MailboxSingle)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeDenseNear)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeSparseFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeCancelHeavy)->Unit(benchmark::kMillisecond);

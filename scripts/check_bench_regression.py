@@ -53,10 +53,7 @@ SUPPORTED_SCHEMA = 1
 # committed baseline is a regression, never noise. Everything else in
 # a point is compared informationally.
 STABLE_METRICS = frozenset({
-    "threads_identical",
-    "breakdown_identical",
     "audit_ok",
-    "verify_ok",
     "identical",
     "invariants_ok",
     "validation_failures",

@@ -165,7 +165,7 @@ class CxlHybridBackend : public MediaBackend
     void pumpWaiters(std::uint32_t ch);
 
     /** Host -> device: run @p fn on the channel's queue one request
-     *  latency ahead (mailbox message when sharded). */
+     *  latency ahead (a cross-shard post when sharded). */
     void toDevice(std::uint32_t ch, Callback fn);
     /** Device -> host: run @p fn on the host queue one response
      *  latency ahead. */

@@ -265,7 +265,7 @@ class EventQueue
      * now() to @p end. The shard execution primitive: a window
      * [now, end) is exclusive of its right edge so an event scheduled
      * exactly at a quantum boundary fires in the next window, on
-     * whichever shard owns it, after mailbox delivery.
+     * whichever shard owns it.
      */
     void runWindow(Tick end);
 

@@ -26,9 +26,8 @@ ShardCoordinator::ShardCoordinator(EventQueue& host,
     : host_(host),
       shards_(std::move(shards)),
       quantum_(quantum),
-      pending_(shards_.size()),
       peek_(shards_.size(), kTickNever),
-      promises_(shards_.size())
+      owed_(shards_.size(), 0)
 {
     NVDC_ASSERT(!shards_.empty(), "sharded system needs >= 1 shard");
     NVDC_ASSERT(quantum_ > 0, "sync quantum must be positive");
@@ -54,59 +53,6 @@ ShardCoordinator::totalSboOverflows() const
     return n;
 }
 
-void
-ShardCoordinator::setPromise(std::uint32_t shard, Promise promise)
-{
-    NVDC_ASSERT(shard < shardCount(), "setPromise: bad shard index");
-    promises_[shard] = std::move(promise);
-}
-
-void
-ShardCoordinator::postToShard(std::uint32_t shard, Tick when, Fn fn)
-{
-    NVDC_ASSERT(shard < shardCount(), "postToShard: bad shard index");
-    // The conservative checker: while a round is in flight the current
-    // window ends at windowEnd_, and a delivery below it could land in
-    // the destination shard's past. A trip here means the sync quantum
-    // (or an adaptive-lookahead promise) exceeds the cross-shard
-    // interaction latency.
-    NVDC_ASSERT(!inRound_ ||
-                    when >= windowEnd_,
-                "cross-shard message inside the sync window: quantum "
-                "exceeds the conservative lookahead bound");
-    pending_[shard].push_back(Msg{when, std::move(fn)});
-}
-
-void
-ShardCoordinator::postToHost(std::uint32_t shard, Tick when, Fn fn)
-{
-    NVDC_ASSERT(shard < shardCount(), "postToHost: bad shard index");
-    NVDC_ASSERT(!inRound_ ||
-                    when >= windowEnd_,
-                "shard-to-host message inside the sync window: an "
-                "output promise or the quantum was broken");
-    toHost_.push_back(Msg{when, std::move(fn)});
-}
-
-void
-ShardCoordinator::admit(EventQueue& q, std::vector<Msg>& box)
-{
-    // No sort needed: the queue orders by (tick, seq), and schedule()
-    // hands out sequence numbers in post order, so same-tick messages
-    // keep post order and the block's seqs never interleave with any
-    // other event's.
-    for (Msg& m : box)
-        q.schedule(m.when, std::move(m.fn));
-    box.clear();
-}
-
-void
-ShardCoordinator::deliverToShards()
-{
-    for (std::uint32_t s = 0; s < shardCount(); ++s)
-        admit(*shards_[s], pending_[s]);
-}
-
 Tick
 ShardCoordinator::scan(Tick* bound)
 {
@@ -121,12 +67,9 @@ ShardCoordinator::scan(Tick* bound)
         if (p == kTickNever)
             continue; // No event to fire -> nothing can be emitted.
         next = std::min(next, p);
-        if (!bound)
-            continue;
-        Tick b = satAdd(p, quantum_);
-        if (promises_[s])
-            b = std::max(b, promises_[s]());
-        e = std::min(e, b);
+        // A shard that owes the host nothing never emits to it.
+        if (bound && owed_[s] > 0)
+            e = std::min(e, satAdd(p, quantum_));
     }
     if (bound)
         *bound = e;
@@ -151,7 +94,8 @@ ShardCoordinator::round(Tick end)
     try {
         for (std::uint32_t s = 0; s < shardCount(); ++s) {
             // peek_ is still exact: a shard's queue changes only while
-            // its own window runs, and deliveries wait for next round.
+            // its own window runs, and host posts wait for the host
+            // window.
             if (peek_[s] < end)
                 shards_[s]->runWindow(end);
             else
@@ -162,11 +106,8 @@ ShardCoordinator::round(Tick end)
         throw;
     }
 
-    // The shards ran in order, so toHost_ holds (shard, post order);
-    // admitting it in that order yields the canonical (tick, shard,
-    // post order) dispatch.
-    admit(host_, toHost_);
-
+    // The shards ran in order and each host-bound post took the next
+    // host seq, so host messages dispatch in (tick, shard, post order).
     host_.runWindow(end);
     inRound_ = false;
 }
@@ -176,10 +117,7 @@ ShardCoordinator::runUntil(Tick target)
 {
     NVDC_ASSERT(!inRound_, "re-entrant run on a sharded system");
     NVDC_ASSERT(target >= host_.now(), "runUntil into the past");
-    for (;;) {
-        deliverToShards();
-        if (host_.now() >= target)
-            break;
+    while (host_.now() < target) {
         Tick bound = kTickNever;
         const Tick next = scan(&bound);
         if (next >= target) {
@@ -189,10 +127,9 @@ ShardCoordinator::runUntil(Tick target)
         }
         // The window may start later than now (idle skip) but never
         // extends past any shard's conservative output bound, so every
-        // in-window stamp keeps its lookahead. When every shard is
-        // provably quiet (promises say nothing is in flight) the
-        // round runs straight to the target — the decoupled fast
-        // path.
+        // in-window stamp keeps its lookahead. When no shard owes
+        // the host a reply the round runs straight to the target —
+        // the decoupled fast path.
         NVDC_ASSERT(bound > next, "window bound regressed below the "
                                   "earliest runnable event");
         round(std::min(bound, target));
@@ -203,7 +140,6 @@ bool
 ShardCoordinator::runOne()
 {
     NVDC_ASSERT(!inRound_, "re-entrant run on a sharded system");
-    deliverToShards();
     const Tick next = scan(nullptr);
     if (next == kTickNever)
         return false;

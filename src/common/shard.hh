@@ -10,44 +10,45 @@
  * every round runs on the calling thread.
  *
  * Correctness rests on a classic conservative-lookahead argument.
- * Every cross-shard interaction goes through a mailbox message stamped
- * at least one quantum into the future, where the quantum is the
- * modeled host-link latency (the binding term of the auto-derived
- * bound; see core::NvdimmcSystem::quantumBound). Time advances in
- * rounds:
+ * Every cross-shard interaction is a message stamped at least one
+ * quantum into the future, where the quantum is the modeled host-link
+ * latency (the binding term of the auto-derived bound; see
+ * core::NvdimmcSystem::quantumBound). A post goes straight into the
+ * receiving shard's queue. Time advances in rounds:
  *
- *   1. deliver the host's pending messages into the shard queues
- *      (their stamps are never below the shard clocks),
- *   2. in one pass over the shards, find the earliest runnable tick
- *      and the window end E = min over shards s of
- *      max(peek(s) + quantum, promise(s)); a shard with no runnable
- *      event cannot emit anything this round and contributes nothing,
- *   3. run every channel shard's window [clock, E) in shard order (a
+ *   1. in one pass over the shards, find the earliest runnable tick
+ *      and the window end E = min over shards s that owe the host a
+ *      reply of peek(s) + quantum; a shard with no runnable event, or
+ *      one that owes nothing, cannot emit anything this round and
+ *      contributes nothing,
+ *   2. run every channel shard's window [clock, E) in shard order (a
  *      shard with no event before E only has its clock moved); shard
- *      code never calls across the seam, it appends host-bound
- *      messages to one mailbox,
- *   4. admit that mailbox into the host queue in post order; the
- *      shards ran in shard order, so its messages dispatch in (tick,
- *      shard, post order),
- *   5. run the host window [clock, E); host calls into a port post
+ *      code never calls across the seam, it posts host-bound
+ *      messages, which the host queue takes at once,
+ *   3. run the host window [clock, E); host calls into a port post
  *      messages stamped now+quantum >= E, so nothing can land in a
  *      shard's past.
  *
- * Adaptive lookahead (the promise term in step 2) is null-message
- * style: a shard may register a promise function returning a lower
- * bound on the stamp of the *next* message it will ever send the host
- * — kTickNever when the owning port can prove it has nothing in
- * flight (no posted-but-unacknowledged ops), which lets the host run
- * ahead past the static quantum. Promises are queried only between
- * rounds; the runtime conservative checker (below) still verifies
- * every actual message against the window it was posted in, so an
- * unsound promise trips an assertion instead of corrupting time.
+ * Posting at once is exact because a round runs on one thread, shards
+ * first: a host post lands in a shard queue that does not run again
+ * before the next round, and a shard's host-bound post is followed
+ * only by later shards' windows, which never touch the host queue. So
+ * no message is seen before every window that precedes it has run,
+ * and host messages dispatch in (tick, shard, post order).
  *
- * The per-window schedule, the mailbox order and every message stamp
- * depend only on the machine, never on `SystemConfig::threads`
- * beyond selecting this model (threads >= 1). Windows with no
- * runnable event anywhere are skipped in one jump, so idle simulated
- * time is free, as in the serial kernel.
+ * Adaptive lookahead (the owed-reply term in step 1): every host post
+ * declares how many host-bound replies it will provoke, and every
+ * shard post consumes one. A shard that owes nothing never emits to
+ * the host spontaneously, so it does not bound the window, which lets
+ * the host run ahead past the static quantum. A reply nobody declared
+ * panics at its post, and the runtime conservative checker (below)
+ * verifies every message against the window it was posted in.
+ *
+ * The per-window schedule and every message stamp depend only on the
+ * machine, never on `SystemConfig::threads` beyond selecting this
+ * model (threads >= 1). Windows with no runnable event anywhere are
+ * skipped in one jump, so idle simulated time is free, as in the
+ * serial kernel.
  *
  * Rounds run inline on purpose: each ~200 ns round carries only a
  * handful of events, too few for a cross-thread barrier to pay
@@ -58,10 +59,11 @@
 #define NVDIMMC_COMMON_SHARD_HH
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace nvdimmc
@@ -74,13 +76,6 @@ namespace nvdimmc
 class ShardCoordinator
 {
   public:
-    using Fn = std::function<void()>;
-    /** Returns a lower bound on the stamp of the next message a
-     *  shard will send the host (kTickNever = provably nothing in
-     *  flight; 0 = no promise beyond the static bound). Queried
-     *  between rounds only. */
-    using Promise = std::function<Tick()>;
-
     /**
      * @param host     the host shard's queue (also the delegation
      *                 target: host.setCoordinator(this) makes the
@@ -112,26 +107,35 @@ class ShardCoordinator
     std::uint64_t totalSboOverflows() const;
 
     /**
-     * Register @p promise as shard @p shard's adaptive lookahead on
-     * top of the static quantum (replacing any earlier one). Call
-     * before the first run.
+     * Schedule @p fn on shard @p shard's queue at tick @p when, owing
+     * @p replies host-bound messages back from that shard. Host phase
+     * (or pre-run setup) only. The conservative checker asserts the
+     * stamp cannot land in the shard's past — tripping it means the
+     * quantum exceeds the cross-shard latency bound.
      */
-    void setPromise(std::uint32_t shard, Promise promise);
+    template <typename F>
+    void postToShard(std::uint32_t shard, Tick when,
+                     std::uint32_t replies, F&& fn)
+    {
+        checkPost(shard, when);
+        owed_[shard] += replies;
+        shards_[shard]->schedule(when, std::forward<F>(fn));
+    }
 
     /**
-     * Post @p fn to run on shard @p shard's queue at tick @p when.
-     * Host phase (or pre-run setup) only. The conservative checker
-     * asserts the stamp cannot land in the shard's past — tripping it
-     * means the quantum exceeds the cross-shard latency bound.
+     * Schedule @p fn on the host queue at tick @p when, as one of the
+     * replies shard @p shard owes. Device phase only, from code
+     * running in @p shard's window.
      */
-    void postToShard(std::uint32_t shard, Tick when, Fn fn);
-
-    /**
-     * Post @p fn to run on the host queue at tick @p when. Device
-     * phase only, from code running in @p shard's window; admitted
-     * after every shard's window, in (tick, shard, post order).
-     */
-    void postToHost(std::uint32_t shard, Tick when, Fn fn);
+    template <typename F>
+    void postToHost(std::uint32_t shard, Tick when, F&& fn)
+    {
+        checkPost(shard, when);
+        NVDC_ASSERT(owed_[shard] > 0,
+                    "shard-to-host reply that no host post declared");
+        --owed_[shard];
+        host_.schedule(when, std::forward<F>(fn));
+    }
 
     /** @name Drive API (EventQueue delegation targets). */
     /** @{ */
@@ -146,44 +150,43 @@ class ShardCoordinator
     /** @} */
 
   private:
-    /** One mailbox message. */
-    struct Msg
+    /** The conservative checker: while a round is in flight the
+     *  current window ends at windowEnd_, and a stamp below it could
+     *  land in the destination's past. A trip means the sync quantum
+     *  exceeds the cross-shard interaction latency. */
+    void checkPost(std::uint32_t shard, Tick when) const
     {
-        Tick when;
-        Fn fn;
-    };
+        NVDC_ASSERT(shard < shardCount(), "post: bad shard index");
+        NVDC_ASSERT(!inRound_ || when >= windowEnd_,
+                    "cross-shard message inside the sync window: "
+                    "quantum exceeds the conservative lookahead bound");
+    }
 
-    void deliverToShards();
     /**
      * One pass over the host and every shard: caches each shard's
      * next event tick in peek_ and returns the earliest runnable tick
      * anywhere (kTickNever if none). With @p bound set, also stores
-     * the window end bound there: min over shards of the earliest
-     * stamp the shard could send the host (kTickNever if no shard
-     * can emit at all).
+     * the window end bound there: min over shards that owe replies of
+     * the earliest stamp the shard could send the host (kTickNever if
+     * no shard can emit at all).
      */
     Tick scan(Tick* bound);
     /** Advance every clock to @p t; no shard may hold an event
      *  before it. */
     void advanceAll(Tick t);
     /** Execute one window ending at @p end across all shards, then
-     *  the host. Needs peek_ from a scan() since the last delivery. */
+     *  the host. Needs peek_ from a scan() since the last host
+     *  window. */
     void round(Tick end);
-    /** Schedule every message of @p box on @p q, in order. */
-    static void admit(EventQueue& q, std::vector<Msg>& box);
 
     EventQueue& host_;
     std::vector<EventQueue*> shards_;
     const Tick quantum_;
 
-    /** Pending deliveries into shard i (host posts during its
-     *  window); admitted at the top of the next round. */
-    std::vector<std::vector<Msg>> pending_;
-    /** Host-bound messages of the running device phase, in (shard,
-     *  post order); admitted after it. */
-    std::vector<Msg> toHost_;
     std::vector<Tick> peek_; ///< Next event tick per shard (scan()).
-    std::vector<Promise> promises_; ///< Per shard; may be empty.
+    /** Host-bound replies each shard still owes: raised by
+     *  postToShard, lowered by postToHost. */
+    std::vector<std::uint64_t> owed_;
 
     bool inRound_ = false;
     Tick windowEnd_ = 0; ///< End of the in-flight window.

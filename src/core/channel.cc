@@ -15,9 +15,8 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
 {
     map_ = std::make_unique<dram::AddressMap>(cfg.dramCacheBytes);
     dram_ = std::make_unique<dram::DramDevice>(
-        *map_, cfg.dramTiming, cfg.storeData, cfg.strictHardware);
-    bus_ = std::make_unique<bus::MemoryBus>(eq, *dram_,
-                                            cfg.strictHardware);
+        *map_, cfg.dramTiming, cfg.storeData);
+    bus_ = std::make_unique<bus::MemoryBus>(eq, *dram_);
 
     imc::ImcConfig imc_cfg = cfg.imc;
     imc_cfg.refresh = cfg.refresh;

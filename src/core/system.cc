@@ -20,28 +20,19 @@ namespace
  *
  * At threads = 0 every channel runs on @p host and there is no
  * coordinator (null). At threads >= 1 each channel gets its own shard
- * queue, created into @p queues, after the sync quantum
- * (cfg.quantumOverride, or @p bound when 0) has been checked against
- * @p bound; then the coordinator takes over @p host's run methods,
- * the port switches to mailbox routing over the host link, and each
- * shard gets the port's in-flight promise.
+ * queue, created into @p queues; then a coordinator with sync quantum
+ * @p quantum takes over @p host's run methods and the port switches to
+ * sharded routing over the host link.
  */
 template <typename Config, typename Build>
 std::unique_ptr<ShardCoordinator>
-buildKernel(EventQueue& host, const Config& cfg, Tick bound,
+buildKernel(EventQueue& host, const Config& cfg, Tick quantum,
             std::vector<std::unique_ptr<EventQueue>>& queues,
             Build&& build)
 {
     if (cfg.threads == 0) {
         build(std::vector<EventQueue*>(cfg.channels, &host));
         return nullptr;
-    }
-    const Tick quantum =
-        cfg.quantumOverride ? cfg.quantumOverride : bound;
-    if (quantum > bound) {
-        panic("sync quantum ", quantum,
-              " exceeds the conservative cross-shard latency bound ",
-              bound, " — a mailbox message could land in a shard's past");
     }
     std::vector<EventQueue*> qs;
     for (std::uint32_t i = 0; i < cfg.channels; ++i) {
@@ -53,8 +44,6 @@ buildKernel(EventQueue& host, const Config& cfg, Tick bound,
     host.setCoordinator(coord.get());
     port.enableSharding(*coord, host, qs, cfg.hostLinkLatency,
                         cfg.hostLinkDepth);
-    for (std::uint32_t i = 0; i < cfg.channels; ++i)
-        coord->setPromise(i, port.lookaheadFn(i));
     return coord;
 }
 
@@ -98,9 +87,18 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
                                       cfg_.nvmc.firmware.cpQueueDepth);
 
     // At threads >= 1 every channel simulates on its own event queue
-    // (shard); the host-side components stay on eq_.
+    // (shard); the host-side components stay on eq_. The quantum is
+    // checked before any hardware is built.
+    const Tick bound = quantumBound(cfg_);
+    const Tick quantum =
+        cfg_.quantumOverride ? cfg_.quantumOverride : bound;
+    if (cfg_.threads > 0 && quantum > bound) {
+        panic("sync quantum ", quantum,
+              " exceeds the conservative cross-shard latency bound ",
+              bound, " — a message could land in a shard's past");
+    }
     coord_ = buildKernel(
-        eq_, cfg_, quantumBound(cfg_), shardQueues_,
+        eq_, cfg_, quantum, shardQueues_,
         [&](const std::vector<EventQueue*>& qs) -> imc::HostPort& {
             channels_.reserve(cfg_.channels);
             for (std::uint32_t i = 0; i < cfg_.channels; ++i)

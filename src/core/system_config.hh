@@ -132,8 +132,6 @@ struct SystemConfig
     bool nvmcEnabled = true;
     /** Keep actual bytes in DRAM/NAND (tests on; big benches off). */
     bool storeData = true;
-    /** Abort on any bus conflict / DRAM protocol violation. */
-    bool strictHardware = false;
 
     /**
      * Flip this config to the CXL.mem hybrid backend: no NVMC (no CP
@@ -185,9 +183,6 @@ struct BaselineConfig
     std::uint32_t threads = 0;
     Tick hostLinkLatency = 200 * kNs;
     std::uint32_t hostLinkDepth = 128;
-    /** Test knob: 0 = auto-derived quantum; larger than the bound
-     *  panics. */
-    Tick quantumOverride = 0;
     /** @} */
     /** Telemetry sampling cadence; same contract as SystemConfig. */
     Tick telemetryIntervalTicks = 0;

@@ -416,11 +416,11 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                 locks_[ch]->release();
                 return;
             }
-            auto pending_wb = pendingWritebacks_.find(seg->devPage);
-            if (pending_wb != pendingWritebacks_.end()) {
+            auto in_flight_wb = pendingWritebacks_.find(seg->devPage);
+            if (in_flight_wb != pendingWritebacks_.end()) {
                 // The page's latest data is still on its way to the
                 // NVM; refaulting now would fill stale bytes.
-                pending_wb->second.push_back([this, seg] {
+                in_flight_wb->second.push_back([this, seg] {
                     span::phase(seg->span, span::Phase::FillWait,
                                 eq_.now());
                     doSegment(seg);

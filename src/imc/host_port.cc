@@ -48,20 +48,6 @@ HostPort::enableSharding(ShardCoordinator& coord, EventQueue& host_eq,
     }
 }
 
-ShardCoordinator::Promise
-HostPort::lookaheadFn(std::uint32_t ch)
-{
-    // postedMsgs is written on the host shard at op-post time,
-    // completedMsgs on the channel shard at message-post time; the
-    // coordinator reads both between rounds. Equal counts mean every
-    // owed credit and completion is already in the mailbox, and the
-    // channel never emits host-bound messages spontaneously.
-    return [this, ch]() -> Tick {
-        const auto& st = shardStates_[ch];
-        return st.postedMsgs == st.completedMsgs ? kTickNever : 0;
-    };
-}
-
 void
 HostPort::postDevice(std::uint32_t ch, Tick delay, Callback fn)
 {
@@ -70,8 +56,7 @@ HostPort::postDevice(std::uint32_t ch, Tick delay, Callback fn)
                 "the shared queue in serial mode");
     NVDC_ASSERT(delay >= coord_->quantum(),
                 "device message lead must cover the sync quantum");
-    ++shardStates_[ch].postedMsgs;
-    coord_->postToShard(ch, hostEq_->now() + delay, std::move(fn));
+    coord_->postToShard(ch, hostEq_->now() + delay, 1, std::move(fn));
 }
 
 void
@@ -79,9 +64,8 @@ HostPort::completeDevice(std::uint32_t ch, Tick delay, Callback done)
 {
     NVDC_ASSERT(coord_ != nullptr,
                 "completeDevice is the sharded seam");
-    auto& st = shardStates_[ch];
-    ++st.completedMsgs;
-    coord_->postToHost(ch, st.eq->now() + delay, std::move(done));
+    coord_->postToHost(ch, shardStates_[ch].eq->now() + delay,
+                       std::move(done));
 }
 
 imc::Callback
@@ -90,12 +74,9 @@ HostPort::wrapDone(std::uint32_t ch, Callback done)
     if (!done)
         return {};
     // Runs on the channel shard when the iMC completes; the payload
-    // crosses the link back and fires on the host shard after the
-    // deterministic mailbox merge.
+    // crosses the link back and fires on the host shard.
     EventQueue* ceq = shardStates_[ch].eq;
     return [this, ch, ceq, done = std::move(done)] {
-        auto& st = shardStates_[ch];
-        ++st.completedMsgs;
         coord_->postToHost(ch, ceq->now() + linkLatency_, done);
     };
 }
@@ -103,26 +84,29 @@ HostPort::wrapDone(std::uint32_t ch, Callback done)
 void
 HostPort::postOp(std::uint32_t ch, PendingOp op)
 {
-    coord_->postToShard(ch, hostEq_->now() + linkLatency_,
-                        [this, ch, op = std::move(op)]() mutable {
-                            execLine(ch, std::move(op));
-                        });
-}
-
-void
-HostPort::execLine(std::uint32_t ch, PendingOp op)
-{
+    // The op waits in the channel FIFO from post time; the link
+    // message only marks its arrival, so the capture fits the queue's
+    // inline slot. Ops to one channel arrive in post order (one
+    // latency past a monotonic host clock), so the arrivals always
+    // cover a prefix of the FIFO. The op owes one credit back, plus a
+    // completion if asked for.
     auto& st = shardStates_[ch];
+    const std::uint32_t replies = op.done ? 2 : 1;
     st.fifo.push_back(std::move(op));
-    if (!st.waiting)
-        pump(ch);
+    coord_->postToShard(ch, hostEq_->now() + linkLatency_, replies,
+                        [this, ch] {
+                            auto& s = shardStates_[ch];
+                            ++s.arrived;
+                            if (!s.waiting)
+                                pump(ch);
+                        });
 }
 
 void
 HostPort::pump(std::uint32_t ch)
 {
     auto& st = shardStates_[ch];
-    while (!st.fifo.empty()) {
+    while (st.arrived > 0) {
         PendingOp& op = st.fifo.front();
         // Pass the completion a *copy* so a rejected attempt leaves
         // the op intact for the whenSpace() retry.
@@ -144,9 +128,9 @@ HostPort::pump(std::uint32_t ch)
             return;
         }
         st.fifo.pop_front();
+        --st.arrived;
         // The iMC took the op: its link credit travels back to the
         // host, which may wake a parked whenSpace() waiter.
-        ++st.completedMsgs;
         coord_->postToHost(ch, st.eq->now() + linkLatency_,
                            [this, ch] { returnCredit(ch); });
     }
@@ -171,8 +155,6 @@ HostPort::readLine(Addr flat, std::uint8_t* buf, Callback done)
     if (st.credits == 0)
         return false;
     --st.credits;
-    // The op owes one credit back, plus a completion if asked for.
-    st.postedMsgs += done ? 2 : 1;
     PendingOp op;
     op.isWrite = false;
     op.local = t.local;
@@ -193,7 +175,6 @@ HostPort::writeLine(Addr flat, const std::uint8_t* data, Callback done)
     if (st.credits == 0)
         return false;
     --st.credits;
-    st.postedMsgs += done ? 2 : 1;
     PendingOp op;
     op.isWrite = true;
     op.local = t.local;
@@ -281,9 +262,8 @@ HostPort::bulkTransfer(Addr flat, std::uint32_t bytes, bool is_write,
         // Sharded: the slice request crosses the link to its channel;
         // each completion crosses back via wrapDone, so the countdown
         // (and `done`) only ever run on the host shard.
-        ++shardStates_[ch].postedMsgs;
         coord_->postToShard(
-            ch, hostEq_->now() + linkLatency_,
+            ch, hostEq_->now() + linkLatency_, 1,
             [this, ch, b = per_channel[ch], is_write, slice_done] {
                 imcs_[ch]->bulkTransfer(b, is_write,
                                         wrapDone(ch, slice_done));

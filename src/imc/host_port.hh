@@ -12,11 +12,11 @@
  * simulator.
  *
  * In sharded (parallel-in-time) mode the port is *the* host/channel
- * seam: every CPU-side call becomes a mailbox message to the owning
- * channel's shard, stamped one host-link latency ahead, and every
- * completion posts back the same way. Host-side calls never touch
- * channel state directly; iMC back-pressure still reaches the host
- * through per-channel link credits. Each accepted line op consumes a
+ * seam: every CPU-side call becomes a message to the owning channel's
+ * shard, stamped one host-link latency ahead, and every completion
+ * posts back the same way. Host-side calls never touch channel state
+ * directly; iMC back-pressure still reaches the host through
+ * per-channel link credits. Each accepted line op consumes a
  * credit; the credit returns (one link latency back) once the
  * channel-side iMC accepts the op out of the port's FIFO, so a full
  * RPQ/WPQ eventually rejects host calls just like the classic path —
@@ -105,9 +105,9 @@ class HostPort
 
     /**
      * Switch the port to sharded routing: host-side calls post
-     * mailbox messages through @p coord to the owning channel's
-     * shard, stamped @p link_latency past the host clock (completions
-     * cross back the same way). @p shard_eqs holds one queue per
+     * messages through @p coord to the owning channel's shard,
+     * stamped @p link_latency past the host clock (completions cross
+     * back the same way). @p shard_eqs holds one queue per
      * channel, channel order; @p link_depth is the per-channel credit
      * pool (posted ops not yet accepted by the channel's iMC). Must
      * be called before any traffic.
@@ -140,11 +140,12 @@ class HostPort
      *
      * A transport backend (e.g. the CXL link model) sends its own
      * host<->device messages outside the line/bulk path. They must
-     * ride the same promise accounting as line ops, or the
-     * coordinator could advance the host past a response's arrival:
-     * postDevice() counts one owed host-bound message at post time,
-     * completeDevice() delivers it. Every postDevice() must be
-     * balanced by exactly one completeDevice() on the same channel.
+     * ride the same owed-reply count as line ops, or the coordinator
+     * could advance the host past a response's arrival: postDevice()
+     * declares one owed host-bound reply at post time,
+     * completeDevice() delivers it (and panics if none is owed).
+     * Every postDevice() must be balanced by exactly one
+     * completeDevice() on the same channel.
      */
     /** @{ */
     /** Host-side: run @p fn on channel @p ch's shard @p delay past
@@ -155,18 +156,8 @@ class HostPort
     void completeDevice(std::uint32_t ch, Tick delay, Callback done);
     /** @} */
 
-    /**
-     * The channel->host link's adaptive-lookahead promise: kTickNever
-     * while channel @p ch provably has nothing host-bound in flight —
-     * every posted line op and bulk slice has already pushed its
-     * credit and completion into the mailbox, and the channel never
-     * emits to the host spontaneously (CP acks are read by host
-     * polling). Queried between rounds on the coordinating thread.
-     */
-    ShardCoordinator::Promise lookaheadFn(std::uint32_t ch);
-
   private:
-    /** One deferred line op queued channel-side in sharded mode. */
+    /** One line op in flight over the link in sharded mode. */
     struct PendingOp
     {
         bool isWrite = false;
@@ -180,7 +171,8 @@ class HostPort
     /**
      * Per-channel sharded-mode state. The host fields are only
      * touched during host windows, the channel fields only during the
-     * shard's own window; every round runs on one thread.
+     * shard's own window, except that the host appends posted ops to
+     * the FIFO; every round runs on one thread.
      */
     struct ShardState
     {
@@ -188,26 +180,20 @@ class HostPort
         /** @{ */
         std::uint32_t credits = 0;
         SpaceWaiters spaceWaiters;
-        /** Host-bound messages this channel owes (credits +
-         *  completions), counted when their trigger op posts; promise
-         *  input. */
-        std::uint64_t postedMsgs = 0;
         /** @} */
 
         /** @name Channel-side. */
         /** @{ */
         EventQueue* eq = nullptr;
+        /** Posted ops not yet accepted by the iMC, in post order; the
+         *  first `arrived` of them have crossed the link. */
         std::deque<PendingOp> fifo;
+        std::uint32_t arrived = 0;
         bool waiting = false; ///< A whenSpace() retry is pending.
-        /** Host-bound messages actually pushed into the mailbox;
-         *  equal to postedMsgs exactly when the link is provably
-         *  quiet. */
-        std::uint64_t completedMsgs = 0;
         /** @} */
     };
 
     void postOp(std::uint32_t ch, PendingOp op);
-    void execLine(std::uint32_t ch, PendingOp op);
     void pump(std::uint32_t ch);
     void returnCredit(std::uint32_t ch);
     /** Redirect an iMC completion back to the host shard. */

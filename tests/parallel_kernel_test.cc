@@ -5,7 +5,8 @@
  * Covers the sharded execution refactor:
  *  - EventQueue::runWindow / peekNextTick window primitives;
  *  - ShardCoordinator mechanics: deterministic channel->host merge
- *    order, idle jumps, and the conservative-quantum runtime checker;
+ *    order, idle jumps, the owed-reply lookahead and the
+ *    conservative-quantum runtime checker;
  *  - the quantum properties the design promises: the auto-derived
  *    quantum never exceeds any cross-channel latency term, shrinking
  *    it never changes results, and growing it past the bound panics;
@@ -106,13 +107,14 @@ TEST(ShardCoordinator, MergeOrderIsTickThenShardThenPostOrder)
     std::vector<std::string> order;
     CoordRig rig;
     // Both shards post host messages for the *same* host ticks; shard
-    // 1 schedules its generating events earlier in wall-clock terms
-    // (lower shard tick) to tempt a naive merge into reordering.
-    rig.s1.schedule(Tick{5}, [&] {
+    // 1's generating event runs earlier (lower shard tick) to tempt a
+    // naive merge into reordering. Each host post declares the two
+    // replies its event sends back.
+    rig.coord.postToShard(1, Tick{5}, 2, [&] {
         rig.coord.postToHost(1, 300, [&] { order.push_back("s1a"); });
         rig.coord.postToHost(1, 200, [&] { order.push_back("s1b"); });
     });
-    rig.s0.schedule(Tick{50}, [&] {
+    rig.coord.postToShard(0, Tick{50}, 2, [&] {
         rig.coord.postToHost(0, 300, [&] { order.push_back("s0a"); });
         rig.coord.postToHost(0, 200, [&] { order.push_back("s0b"); });
     });
@@ -150,7 +152,7 @@ TEST(ShardCoordinator, HostToShardDeliveryAndIdleJump)
 {
     CoordRig rig;
     std::vector<Tick> fired;
-    rig.coord.postToShard(0, Tick{1'000'000},
+    rig.coord.postToShard(0, Tick{1'000'000}, 0,
                           [&] { fired.push_back(rig.s0.now()); });
     // One idle jump covers the whole gap: no window churn while the
     // only event is far away.
@@ -169,7 +171,7 @@ TEST(ShardCoordinator, RuntimeCheckerTripsInsideWindow)
     // current sync window models a latency path shorter than the
     // quantum — exactly what the conservative checker must catch.
     rig.host.schedule(Tick{10}, [&] {
-        rig.coord.postToShard(0, rig.host.now() + 1, [] {});
+        rig.coord.postToShard(0, rig.host.now() + 1, 0, [] {});
     });
     EXPECT_THROW(rig.host.runUntil(500), PanicError);
 }
@@ -182,69 +184,75 @@ TEST(ShardCoordinator, ShardExceptionPropagatesAndStaysRunnable)
     // The coordinator must be reusable after the throw (the error
     // slot and inRound flag are cleared).
     std::vector<int> fired;
-    rig.coord.postToShard(1, rig.s1.now() + 200,
+    rig.coord.postToShard(1, rig.s1.now() + 200, 0,
                           [&] { fired.push_back(1); });
     rig.host.runUntil(rig.host.now() + 1000);
     EXPECT_EQ(fired, (std::vector<int>{1}));
 }
 
 // ---------------------------------------------------------------------
-// Adaptive lookahead (per-shard promises).
+// Adaptive lookahead (per-shard owed-reply counts).
 
 TEST(Lookahead, QuietPromiseCollapsesWindowsToOne)
 {
     CoordRig rig;
     // Shard 0 runs internal-only events spread far wider than the
-    // quantum; it honestly promises nothing is in flight.
+    // quantum and owes the host nothing.
     std::vector<Tick> fired;
     for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
         rig.s0.schedule(t, [&, t] { fired.push_back(t); });
-    rig.coord.setPromise(0, [] { return kTickNever; });
     rig.host.runUntil(1000);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 300, 600, 900}));
-    // Without the promise this takes one window per event cluster;
-    // with it the round runs straight to the target.
+    // A shard that owes a reply takes one window per event cluster
+    // (below); a quiet one lets the round run straight to the target.
     EXPECT_EQ(rig.coord.windows(), 1u);
 }
 
 TEST(Lookahead, StaticQuantumNeedsAWindowPerCluster)
 {
-    // Control for the test above: same event pattern, no promise.
+    // Control for the test above: same event pattern, but the first
+    // event arrives as a host post that declares one reply (never
+    // sent), so every window ends one quantum past shard 0's next
+    // event.
     CoordRig rig;
     std::vector<Tick> fired;
-    for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
+    rig.coord.postToShard(0, Tick{10}, 1, [&] { fired.push_back(10); });
+    for (Tick t : {Tick{300}, Tick{600}, Tick{900}})
         rig.s0.schedule(t, [&, t] { fired.push_back(t); });
     rig.host.runUntil(1000);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 300, 600, 900}));
     EXPECT_EQ(rig.coord.windows(), 4u);
 }
 
-TEST(Lookahead, FinitePromiseRaisesTheBoundOnly)
+TEST(Lookahead, UndeclaredReplyPanicsAtThePost)
 {
-    // A promise of "nothing before tick 450" widens early windows but
-    // never shrinks the static peek+latency bound (max, not replace).
+    // The shard owes nothing, so the round runs straight to the
+    // target, yet it emits a host message anyway. The stamp clears
+    // the window, so only the owed-reply check can catch it: the post
+    // itself panics instead of letting a later message land in the
+    // host's past.
     CoordRig rig;
-    std::vector<Tick> fired;
-    for (Tick t : {Tick{10}, Tick{300}, Tick{600}, Tick{900}})
-        rig.s0.schedule(t, [&, t] { fired.push_back(t); });
-    rig.coord.setPromise(0, [] { return Tick{450}; });
-    rig.host.runUntil(1000);
-    EXPECT_EQ(fired, (std::vector<Tick>{10, 300, 600, 900}));
-    // Window 1 ends at 450 (fires 10 and 300), then 600+100, then
-    // 900+100 capped at the target: three windows, not four.
-    EXPECT_EQ(rig.coord.windows(), 3u);
+    rig.s0.schedule(Tick{10}, [&] {
+        rig.coord.postToHost(0, Tick{1000}, [] {});
+    });
+    try {
+        rig.host.runUntil(1000);
+        FAIL() << "an undeclared reply was accepted";
+    } catch (const PanicError& e) {
+        EXPECT_NE(std::string(e.what()).find("no host post declared"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
-TEST(Lookahead, UnsoundPromiseTripsTheCheckerMidWindow)
+TEST(Lookahead, OwedReplyInsideTheWindowTripsTheChecker)
 {
-    // The shard claims it is quiet forever, but it emits a
-    // message anyway. The extended window must not silently corrupt
-    // time: the conservative runtime checker catches the stamp landing
-    // inside the in-flight window.
+    // A declared reply stamped less than one quantum past its
+    // shard's clock lands inside the window: the runtime checker
+    // catches it at the post.
     CoordRig rig;
-    rig.coord.setPromise(0, [] { return kTickNever; });
-    rig.s0.schedule(Tick{10}, [&] {
-        rig.coord.postToHost(0, rig.s0.now() + 100, [] {});
+    rig.coord.postToShard(0, Tick{10}, 1, [&] {
+        rig.coord.postToHost(0, rig.s0.now() + 50, [] {});
     });
     EXPECT_THROW(rig.host.runUntil(1000), PanicError);
 }
@@ -278,6 +286,8 @@ struct ShardedResult
 {
     std::string text;        ///< FioResult line + full text stats dump.
     std::uint64_t events = 0; ///< Events fired on every queue.
+    /** Callbacks that spilled a queue's inline slot, on every queue. */
+    std::uint64_t sboOverflows = 0;
 };
 
 /**
@@ -342,7 +352,8 @@ shardedRun(std::uint32_t channels, std::uint32_t threads,
     os.precision(17);
     os << res.mbps << " " << res.kiops << " " << res.ops << "\n";
     sys.dumpStats(os);
-    return ShardedResult{os.str(), sys.coordinator()->totalEventsFired()};
+    return ShardedResult{os.str(), sys.coordinator()->totalEventsFired(),
+                         sys.coordinator()->totalSboOverflows()};
 }
 
 std::uint64_t
@@ -367,6 +378,8 @@ expectPinned(const ShardedResult& r, std::uint64_t fnv,
 {
     EXPECT_EQ(fnv1a64(r.text), fnv) << r.text;
     EXPECT_EQ(r.events, events);
+    // Every cross-shard message fits the queue's inline slot.
+    EXPECT_EQ(r.sboOverflows, 0u);
     EXPECT_NE(r.text.find("cache."), std::string::npos);
 }
 
